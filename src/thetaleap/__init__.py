@@ -1,38 +1,27 @@
 """Discrete-state reverse-diffusion sampling toolkit.
 
-Forward CTMC marginals and exact score oracles, reverse-process intensity
-construction, a sampler suite (Euler, tau-leaping, uniformization, and the
-two-stage theta schemes), a masked absorbing-state toy model, and a
-statistical harness for KL-based convergence studies.
+Forward CTMC marginals, two exact reverse-process models (a uniform toy and
+a masked absorbing-state toy) whose rates come from exact scores, a batched
+sampler engine (Euler, tau-leaping, uniformization, and the two-stage theta
+schemes), and a statistical harness for KL-based convergence studies.
 """
 
 from .ctmc import (
-    IntensityMap,
     ProbabilityVector,
     RateMatrix,
-    ScoreVector,
-    StateSpaceSpec,
-    backward_intensity,
-    backward_intensity_factorized,
     build_uniform_rate_matrix,
     forward_marginal_closed,
     forward_marginal_general,
-    score,
-    total_intensity,
 )
 from .masked import (
     ConditionalOracle,
     NoiseSchedule,
     TargetTable,
     TokenSequence,
-    conditional_probs,
     forward_mask_sample,
     load_target_table,
-    masked_score,
     random_target_table,
     save_target_table,
-    schedule_sigma,
-    schedule_sigma_bar,
 )
 from .metrics import (
     ConvergenceFit,
@@ -46,18 +35,12 @@ from .metrics import (
 )
 from .models import MaskedToyModel, ToyUniformModel, sample_simplex
 from .solvers import (
-    IntensityOracle,
     SolverConfig,
     StepTelemetry,
     TimeGrid,
     alpha_coefficients,
-    euler_step,
     make_time_grid,
     run_sampler,
-    tau_leaping_step,
-    theta_rk2_step,
-    theta_trapezoidal_step,
-    uniformization_sample,
 )
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Subcommands:
   toy-converge     sweep methods x thetas x step counts on the S=15 toy,
                    reporting bootstrapped KL and a log-log convergence fit
   masked-converge  the same sweep on the masked d=3, S=4 joint-table toy
-  exact-check      uniformization run reporting KL and the NFE distribution
+  exact-check      the toy sweep run with uniformization: KL at the noise
+                   floor and the per-trajectory NFE distribution
 
 Informational output goes to stderr; the result table goes to --out
 (default stdout) as CSV or JSON.  Exit codes: 0 ok, 2 config error,
@@ -261,7 +262,9 @@ def _sweep(config: ExperimentConfig, model, target: ProbabilityVector, n_states:
                 t0 = time.monotonic()
                 grid = make_time_grid(config.horizon, config.delta, n_steps, theta)
                 scfg = SolverConfig(method, grid, config.seed)
-                samples, tel = run_sampler(scfg, model, config.samples, workers=config.workers)
+                samples, tel, nfe = run_sampler(
+                    scfg, model, config.samples, workers=config.workers, collect_nfe=True
+                )
                 emp = empirical_distribution(samples, n_states)
                 report = bootstrap_kl_ci(
                     emp,
@@ -292,6 +295,8 @@ def _sweep(config: ExperimentConfig, model, target: ProbabilityVector, n_states:
                     f"pos={tel.positivity_fraction:.4f} rej={tel.rejection_fraction:.2e} "
                     f"({wall_ms:.0f} ms)"
                 )
+                if nfe is not None:
+                    _info(f"  nfe mean={nfe.mean():.2f} p95={np.percentile(nfe, 95):.1f}")
                 cell += 1
     fits = _fit_rows(config, rows, n_states)
     return rows, fits
@@ -342,54 +347,10 @@ def cmd_masked_converge(config: ExperimentConfig):
     return _sweep(config, model, target, table.S**table.d)
 
 
-def cmd_exact_check(config: ExperimentConfig):
-    p0 = _toy_target(config)
-    model = ToyUniformModel(p0, horizon=config.horizon)
-    rows = []
-    for n_windows in config.steps:
-        t0 = time.monotonic()
-        grid = make_time_grid(config.horizon, config.delta, n_windows, config.thetas[0])
-        scfg = SolverConfig("uniformization", grid, config.seed)
-        samples, tel, nfe = run_sampler(
-            scfg, model, config.samples, workers=config.workers, collect_nfe=True
-        )
-        emp = empirical_distribution(samples, TOY_STATES)
-        report = bootstrap_kl_ci(
-            emp,
-            p0,
-            n_resamples=config.bootstrap,
-            level=config.ci_level,
-            rng=substream(config.seed, TAG_BOOT, n_windows),
-        )
-        wall_ms = (time.monotonic() - t0) * 1e3
-        floor = noise_floor(config.samples, TOY_STATES)
-        _info(
-            f"uniformization windows={n_windows}: kl={report.estimate:.4e} "
-            f"({report.estimate / floor:.2f}x noise floor) "
-            f"nfe mean={nfe.mean():.2f} p95={np.percentile(nfe, 95):.1f} ({wall_ms:.0f} ms)"
-        )
-        rows.append(
-            ResultRow(
-                method="uniformization",
-                theta=config.thetas[0],
-                steps=n_windows,
-                nfe=float(nfe.mean()),
-                kl=report.estimate,
-                ci_lo=report.ci_lo,
-                ci_hi=report.ci_hi,
-                positivity_frac=1.0,
-                rejection_frac=0.0,
-                wall_ms=wall_ms,
-                seed=config.seed,
-            )
-        )
-    return rows, []
-
-
 COMMANDS = {
     "toy-converge": cmd_toy_converge,
     "masked-converge": cmd_masked_converge,
-    "exact-check": cmd_exact_check,
+    "exact-check": cmd_toy_converge,
 }
 
 

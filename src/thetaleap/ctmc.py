@@ -12,11 +12,11 @@ they are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, SingularIntensityError, SingularScoreError
+from .errors import ConfigError, NumericalError
 
 # Default tolerances; every public function accepts an override.
 NORMALIZATION_ATOL = 1e-12
@@ -83,57 +83,6 @@ class RateMatrix:
         return off
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Ratios p(y)/p(x) for a fixed base state x, indexed by target y."""
-
-    values: np.ndarray
-    base_state: int
-
-    def __post_init__(self):
-        v = _frozen(self.values)
-        if v[self.base_state] != 1.0:
-            raise ConfigError("score at the base state must be exactly 1")
-        if np.any(v < 0):
-            raise ConfigError("score entries must be nonnegative")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class StateSpaceSpec:
-    """Factorized state space [S]^d, bounded or periodic along each axis."""
-
-    d: int
-    S: int
-    periodic: bool = False
-
-    def __post_init__(self):
-        if self.d < 1 or self.S < 2:
-            raise ConfigError(f"need d >= 1 and S >= 2, got d={self.d}, S={self.S}")
-
-
-@dataclass(frozen=True)
-class IntensityMap:
-    """Jump intensities out of one state.
-
-    Keys are jumps: a signed integer offset for 1-D spaces, or a
-    ``(coordinate, new_value)`` pair for factorized spaces.  Values are
-    nonnegative rates.
-    """
-
-    rates: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for nu, r in self.rates.items():
-            if not np.isfinite(r):
-                raise SingularIntensityError(f"intensity for jump {nu} is not finite")
-            if r < 0:
-                raise ConfigError(f"intensity for jump {nu} is negative")
-
-    def total(self) -> float:
-        return float(sum(self.rates.values()))
-
-
 def build_uniform_rate_matrix(S: int) -> RateMatrix:
     """All-to-all generator (1/S) E - I whose stationary law is uniform."""
     if S < 2:
@@ -193,79 +142,3 @@ def forward_marginal_general(
     if abs(s - 1.0) > atol:
         raise NumericalError(f"marginal mass drifted to {s!r} (tolerance {atol})")
     return ProbabilityVector(np.maximum(p, 0.0) / s)
-
-
-def score(p_t: ProbabilityVector, x: int) -> ScoreVector:
-    """Score vector s(x, y) = p_t(y) / p_t(x) for every target y."""
-    px = p_t.probs[x]
-    if px <= 0.0:
-        raise SingularScoreError(f"state {x} has zero marginal mass; score is undefined")
-    v = p_t.probs / px
-    v[x] = 1.0
-    return ScoreVector(v, x)
-
-
-def backward_intensity(
-    space: StateSpaceSpec,
-    Q_forward_at_reversed_time: RateMatrix,
-    score_at_state: ScoreVector,
-    y: int,
-) -> IntensityMap:
-    """Reverse-process jump intensities out of state y (1-D spaces).
-
-    The rate of jumping by offset nu is the score ratio toward the target
-    times the forward rate of the reverse edge (from y+nu back to y),
-    restricted to the off-diagonal part of the generator.
-    """
-    if space.d != 1:
-        raise ConfigError("matrix-form backward intensity supports d=1 only")
-    S = space.S
-    off = Q_forward_at_reversed_time.off_diagonal()
-    rates = {}
-    for w in range(S):
-        if w == y:
-            continue
-        q_rev = off[y, w]  # forward rate from w back to y
-        if q_rev == 0.0:
-            continue
-        s_val = score_at_state.values[w]
-        if not np.isfinite(s_val):
-            raise SingularIntensityError(f"score toward state {w} is infinite on a permissible jump")
-        rates[w - y] = float(s_val * q_rev)
-    return IntensityMap(rates)
-
-
-def backward_intensity_factorized(
-    space: StateSpaceSpec,
-    Q_coord: RateMatrix,
-    score_factors: np.ndarray,
-    y: tuple,
-) -> IntensityMap:
-    """Reverse intensities for a factorized space with per-coordinate generator.
-
-    ``score_factors[l, v]`` must equal the joint score ratio toward the state
-    obtained from y by setting coordinate l to value v.  Jumps are keyed as
-    (coordinate, new_value); entries with zero reverse-edge rate are dropped.
-    """
-    off = Q_coord.off_diagonal()
-    rates = {}
-    for ell in range(space.d):
-        cur = y[ell]
-        for v in range(score_factors.shape[1]):
-            if v == cur:
-                continue
-            q_rev = off[cur, v]  # forward rate from value v back to the current value
-            if q_rev == 0.0:
-                continue
-            s_val = score_factors[ell, v]
-            if not np.isfinite(s_val):
-                raise SingularIntensityError(
-                    f"score factor at coordinate {ell}, value {v} is infinite"
-                )
-            rates[(ell, v)] = float(s_val * q_rev)
-    return IntensityMap(rates)
-
-
-def total_intensity(m: IntensityMap) -> float:
-    """Sum of all jump rates in the map."""
-    return m.total()

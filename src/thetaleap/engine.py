@@ -1,4 +1,7 @@
-"""Chunked, vectorized trajectory execution.
+"""Chunked, vectorized trajectory execution: the one implementation of every scheme.
+
+The exact one-interval kernels in ``tests/kernel_oracle.py`` are the
+reference this engine is checked against.
 
 Trajectories are processed in fixed-size chunks.  Every random draw comes
 from a Philox stream keyed by (seed, purpose, chunk, interval, stage), so
@@ -7,8 +10,8 @@ processes only change wall time, never bytes.  ``CHUNK_SIZE`` is part of
 that reproducibility contract; changing it changes the streams.
 
 Batch models implement:
-  - ``space``, ``n_coords``, ``slots_per_coord``: jump-slot layout, where
-    slot (c, v) means "set coordinate c to target v"
+  - ``n_coords``, ``slots_per_coord``: jump-slot layout, where slot (c, v)
+    means "set coordinate c to target v"
   - ``sample_q0_batch(rng, m)``: initial states, shape (m,) or (m, d)
   - ``rates_batch(s, states)``: (m, n_coords * slots_per_coord) intensities;
     ``s`` may be a scalar or a per-row vector
@@ -50,14 +53,14 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 def _leap_batch(model, states, rates, dt, rng, tel: StepTelemetry):
     """Vectorized tau-leap over one sub-interval; returns updated copies.
 
-    Mirrors :func:`thetaleap.solvers.tau_leaping_step`: independent Poisson
-    counts per slot, whole-update rejection when any coordinate draws more
-    than one jump.
+    Rates are frozen over the sub-interval: independent Poisson counts per
+    slot, whole-update rejection when any coordinate draws more than one
+    jump, otherwise every coordinate with a single drawn jump moves.
     """
     m = states.shape[0]
     lam = rates * dt
-    if lam.size and lam.min() < 0.0:
-        raise NumericalError("negative rate reached the Poisson draw; clamping failed upstream")
+    if lam.size and not lam.min() >= 0.0:
+        raise NumericalError("negative or NaN rate reached the Poisson draw; clamping failed upstream")
     counts = rng.poisson(lam)
     c3 = counts.reshape(m, model.n_coords, model.slots_per_coord)
     per_coord = c3.sum(axis=2)

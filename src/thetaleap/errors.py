@@ -25,10 +25,6 @@ class SingularScoreError(NumericalError):
     """Score requested at a state with zero marginal mass."""
 
 
-class SingularIntensityError(NumericalError):
-    """Reverse-process intensity is infinite on a permissible jump."""
-
-
 class StepSizeError(NumericalError):
     """Linearized transition probabilities exceed 1; the step is too large."""
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import RateMatrix
-from .errors import ConfigError, DataError, SingularScoreError, UnreachableContextError
+from .errors import ConfigError, DataError, UnreachableContextError
 
 TABLE_LOAD_ATOL = 1e-9
 TABLE_SUM_ATOL = 1e-12
@@ -49,14 +48,6 @@ class NoiseSchedule:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0.0) or np.any(t > 1.0):
             raise ConfigError(f"schedule time must lie in [0, 1], got {t!r}")
-
-
-def schedule_sigma(sched: NoiseSchedule, t: float) -> float:
-    return float(sched.sigma(t))
-
-
-def schedule_sigma_bar(sched: NoiseSchedule, t: float) -> float:
-    return float(sched.sigma_bar(t))
 
 
 @dataclass(frozen=True)
@@ -169,28 +160,19 @@ class ConditionalOracle:
 
     For a partially masked sequence, returns a d x S matrix whose row l is
     the one-hot indicator of an observed token, or the conditional law of
-    position l given the observed portion when l is masked.  Matrices are
-    memoized per context; instances are read-only after construction and
-    safe for concurrent queries from multiple processes (each holds its own
-    cache).
+    position l given the observed portion when l is masked.  Every query is
+    computed afresh from the table; callers that revisit contexts memoize
+    the result themselves (as :class:`thetaleap.models.MaskedToyModel` does).
     """
 
     def __init__(self, table: TargetTable):
         self.table = table
-        self._cache: dict[tuple, np.ndarray] = {}
 
     def conditional_probs(self, seq: TokenSequence) -> np.ndarray:
-        if seq.vocab_size != self.table.S or seq.tokens.size != self.table.d:
-            raise DataError("sequence shape does not match the target table")
-        key = tuple(int(t) for t in seq.tokens)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._compute(seq.tokens)
-            self._cache[key] = cached
-        return cached
-
-    def _compute(self, tokens: np.ndarray) -> np.ndarray:
         d, S = self.table.d, self.table.S
+        if seq.vocab_size != S or seq.tokens.size != d:
+            raise DataError("sequence shape does not match the target table")
+        tokens = seq.tokens
         mask = tokens == S
         indexer = tuple(slice(None) if mask[l] else int(tokens[l]) for l in range(d))
         sub = self.table.probs[indexer]
@@ -206,12 +188,7 @@ class ConditionalOracle:
             out[l] = sub.sum(axis=other) / mass
         for l in np.nonzero(~mask)[0]:
             out[l, int(tokens[l])] = 1.0
-        out.flags.writeable = False
         return out
-
-
-def conditional_probs(oracle: ConditionalOracle, seq: TokenSequence) -> np.ndarray:
-    return oracle.conditional_probs(seq)
 
 
 def forward_mask_sample(
@@ -224,38 +201,3 @@ def forward_mask_sample(
     tokens = seq0.tokens.copy()
     tokens[rng.random(tokens.size) < p] = seq0.mask_token
     return TokenSequence(tokens, seq0.vocab_size)
-
-
-def score_prefactor(sched: NoiseSchedule, t: float) -> float:
-    """Scalar e^{-sigma_bar} / (1 - e^{-sigma_bar}) multiplying the conditionals."""
-    if t <= 0.0:
-        raise SingularScoreError(
-            "score prefactor diverges at t = 0; simulate with an early stop delta > 0"
-        )
-    sb = float(sched.sigma_bar(t))
-    return float(np.exp(-sb) / -np.expm1(-sb))
-
-
-def masked_score(
-    oracle: ConditionalOracle, sched: NoiseSchedule, seq: TokenSequence, t: float
-) -> np.ndarray:
-    """Per-position score factors: prefactor times the conditional matrix.
-
-    Entry (l, v) equals the joint score ratio toward the sequence obtained by
-    unmasking position l to token v; combined with the forward token->MASK
-    rate it yields the reverse unmask intensities.
-    """
-    return score_prefactor(sched, t) * oracle.conditional_probs(seq)
-
-
-def absorbing_rate_matrix(S: int, sigma_t: float) -> RateMatrix:
-    """Per-coordinate forward generator over S tokens plus MASK (index S).
-
-    Each token jumps to MASK at rate sigma_t; MASK is absorbing.
-    """
-    if sigma_t < 0:
-        raise ConfigError(f"masking rate must be nonnegative, got {sigma_t}")
-    q = np.zeros((S + 1, S + 1))
-    q[S, :S] = sigma_t
-    q[np.arange(S), np.arange(S)] = -sigma_t
-    return RateMatrix(q)

@@ -1,34 +1,17 @@
 """Ready-to-sample reverse-process models.
 
-Both models expose the scalar oracle contract (``rates`` / ``total_bound``)
-used by the reference step functions, plus the batch interface consumed by
-:mod:`thetaleap.engine`.  The scalar and batch paths share the same
-formulas; tests check they agree in distribution.
+Both models implement the batch model protocol consumed by
+:mod:`thetaleap.engine` (see its module docstring).  Their rates are checked
+against independent per-state formulas in ``tests/kernel_oracle.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ctmc import (
-    IntensityMap,
-    ProbabilityVector,
-    StateSpaceSpec,
-    backward_intensity,
-    backward_intensity_factorized,
-    build_uniform_rate_matrix,
-    forward_marginal_closed,
-    score,
-)
-from .errors import ConfigError
-from .masked import (
-    ConditionalOracle,
-    NoiseSchedule,
-    TargetTable,
-    TokenSequence,
-    absorbing_rate_matrix,
-    masked_score,
-)
+from .ctmc import ProbabilityVector
+from .errors import ConfigError, SingularScoreError
+from .masked import ConditionalOracle, NoiseSchedule, TargetTable, TokenSequence
 
 MAX_COND_CACHE_ENTRIES = 5 * 10**7
 
@@ -53,19 +36,8 @@ class ToyUniformModel:
         self.p0 = p0
         self.horizon = horizon
         self.S = p0.n_states
-        self.Q = build_uniform_rate_matrix(self.S)
-        self.space = StateSpaceSpec(d=1, S=self.S)
         self.n_coords = 1
         self.slots_per_coord = self.S
-
-    def reverse_marginal(self, s: float) -> ProbabilityVector:
-        return forward_marginal_closed(self.p0, self.horizon - s)
-
-    # scalar oracle contract
-
-    def rates(self, s: float, y: int) -> IntensityMap:
-        p = self.reverse_marginal(s)
-        return backward_intensity(self.space, self.Q, score(p, y), y)
 
     def total_bound(self, s_lo: float, s_hi: float) -> float:
         """Dominating total intensity over a window.
@@ -81,8 +53,6 @@ class ToyUniformModel:
             )
         return (1.0 - p_floor) / (self.S * p_floor)
 
-    # batch interface
-
     def sample_q0_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.integers(0, self.S, size=m, dtype=np.int64)
 
@@ -91,6 +61,11 @@ class ToyUniformModel:
         decay = np.exp(-t)
         if t.ndim == 0:
             pt = (1.0 - decay) / self.S + decay * self.p0.probs
+            if not pt.min() > 0.0:
+                raise SingularScoreError(
+                    f"marginal at reverse time {float(s):.6g} has a zero-mass state; "
+                    "the score is undefined there (use an early stop delta > 0)"
+                )
             r = pt[None, :] / (self.S * pt[states, None])
         else:
             pt = (1.0 - decay[:, None]) / self.S + decay[:, None] * self.p0.probs[None, :]
@@ -126,7 +101,8 @@ class MaskedToyModel:
         self.S = table.S
         self.mask_token = self.S
         self.oracle = ConditionalOracle(table)
-        self.space = StateSpaceSpec(d=self.d, S=self.S + 1)
+        # smallest signed type that holds every token and MASK (= S)
+        self._dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= self.S)
         self.n_coords = self.d
         self.slots_per_coord = self.S
         n_ctx = (self.S + 1) ** self.d
@@ -138,8 +114,15 @@ class MaskedToyModel:
         self._have = np.zeros(n_ctx, dtype=bool)
 
     def _coef(self, s):
-        """sigma(t) * prefactor(t): the per-conditional unmask rate scale."""
+        """sigma(t) * prefactor(t): the per-conditional unmask rate scale.
+
+        The prefactor e^{-sigma_bar} / (1 - e^{-sigma_bar}) diverges at t = 0.
+        """
         t = self.horizon - np.asarray(s, dtype=float)
+        if np.any(t <= 0.0):
+            raise SingularScoreError(
+                "unmask rate diverges at t = 0; simulate with an early stop delta > 0"
+            )
         sb = self.schedule.sigma_bar(t)
         return self.schedule.sigma(t) * np.exp(-sb) / -np.expm1(-sb)
 
@@ -155,25 +138,14 @@ class MaskedToyModel:
             self._cond[code] = self.oracle.conditional_probs(seq)
             self._have[code] = True
 
-    # scalar oracle contract
-
-    def rates(self, s: float, y) -> IntensityMap:
-        t = self.horizon - s
-        seq = TokenSequence(np.asarray(y, dtype=np.int64), self.S)
-        factors = masked_score(self.oracle, self.schedule, seq, t)
-        q_coord = absorbing_rate_matrix(self.S, float(self.schedule.sigma(t)))
-        return backward_intensity_factorized(self.space, q_coord, factors, tuple(seq.tokens))
-
     def total_bound(self, s_lo: float, s_hi: float) -> float:
         raise ConfigError(
             "uniformization is not supported for the masked model: the unmask "
             "intensity is unbounded toward the data end"
         )
 
-    # batch interface
-
     def sample_q0_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.full((m, self.d), self.mask_token, dtype=np.int8)
+        return np.full((m, self.d), self.mask_token, dtype=self._dtype)
 
     def rates_batch(self, s, states: np.ndarray) -> np.ndarray:
         m = states.shape[0]

@@ -1,10 +1,11 @@
-"""Sampler schemes for reverse-time jump processes.
+"""Sampler configuration for reverse-time jump processes.
 
-Implements single-state steps for five methods: Euler (linearized
-categorical), tau-leaping, uniformization (exact via thinning), and the
-two-stage theta-RK-2 and theta-Trapezoidal schemes.  Batched trajectory
-execution lives in :mod:`thetaleap.engine`; the step functions here are the
-reference semantics and are what the engine must agree with in distribution.
+Five methods are available: Euler (linearized categorical), tau-leaping,
+uniformization (exact via thinning), and the two-stage theta-RK-2 and
+theta-Trapezoidal schemes.  This module holds what describes a run (the
+time grid, the extrapolation weights, :class:`SolverConfig`) and what it
+reports (:class:`StepTelemetry`); :func:`run_sampler` hands the run to the
+batched engine in :mod:`thetaleap.engine`, which implements every scheme.
 
 Jump bookkeeping: a drawn update is rejected outright if any coordinate
 draws more than one jump, which keeps every accepted update well-posed.
@@ -16,12 +17,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .ctmc import IntensityMap, StateSpaceSpec
-from .errors import BoundViolationError, ConfigError, NumericalError, StepSizeError
+from .errors import ConfigError
 
 METHODS = ("euler", "tau-leaping", "uniformization", "theta-rk2", "theta-trapezoidal")
 CLAMP_AT_ZERO = "clamp-at-zero"
@@ -107,7 +106,7 @@ def alpha_coefficients(theta: float) -> tuple[float, float]:
 class StepTelemetry:
     """Counters accumulated over one or many step updates.
 
-    ``nfe`` counts intensity-oracle evaluations.  ``attempted_updates`` and
+    ``nfe`` counts intensity evaluations, one per trajectory per call.  ``attempted_updates`` and
     ``drawn_jumps`` are bookkeeping beyond the core counters: the former
     normalizes rejection rates, the latter exposes pre-rejection Poisson
     counts for distributional checks.
@@ -143,21 +142,6 @@ class StepTelemetry:
         self.final_fill_evals += other.final_fill_evals
 
 
-@runtime_checkable
-class IntensityOracle(Protocol):
-    """Callable contract supplying reverse-process intensities.
-
-    ``rates(s, y)`` returns the intensity map at reverse time s out of state
-    y.  ``total_bound(s_lo, s_hi)`` returns a constant dominating the total
-    intensity over the window, as required by uniformization; oracles that
-    cannot provide one should raise :class:`ConfigError`.
-    """
-
-    def rates(self, s: float, y) -> IntensityMap: ...
-
-    def total_bound(self, s_lo: float, s_hi: float) -> float: ...
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Method selection plus everything needed to reproduce a run."""
@@ -186,226 +170,14 @@ class SolverConfig:
             )
 
 
-def _jump_coordinate(nu) -> int:
-    return nu[0] if isinstance(nu, tuple) else 0
-
-
-def _apply_jump(y, nu, space: StateSpaceSpec | None):
-    if isinstance(nu, tuple):
-        coord, val = nu
-        out = list(y)
-        out[coord] = val
-        return tuple(out)
-    target = y + nu
-    if space is not None and space.periodic:
-        target %= space.S
-    return target
-
-
-def tau_leaping_step(y, mu: IntensityMap, dt: float, rng: np.random.Generator, space=None):
-    """One frozen-intensity leap: Poisson counts per jump, capped at one per coordinate.
-
-    Any coordinate drawing two or more jumps voids the whole update (the
-    state is returned unchanged and the rejection recorded); otherwise every
-    coordinate with a single drawn jump is applied.
-    """
-    if dt <= 0:
-        raise ConfigError(f"step size must be positive, got {dt}")
-    tel = StepTelemetry(attempted_updates=1)
-    per_coord: dict[int, list] = {}
-    for nu, rate in mu.rates.items():
-        if rate == 0.0:
-            continue
-        k = rng.poisson(rate * dt)
-        tel.drawn_jumps += int(k)
-        if k > 0:
-            per_coord.setdefault(_jump_coordinate(nu), []).append((nu, int(k)))
-    for jumps in per_coord.values():
-        if sum(k for _, k in jumps) > 1:
-            tel.rejected_steps += 1
-            return y, tel
-    for jumps in per_coord.values():
-        y = _apply_jump(y, jumps[0][0], space)
-    return y, tel
-
-
-def euler_step(y, mu: IntensityMap, dt: float, rng: np.random.Generator, space=None):
-    """Single categorical draw from linearized transition probabilities."""
-    if dt <= 0:
-        raise ConfigError(f"step size must be positive, got {dt}")
-    jumps = [(nu, rate * dt) for nu, rate in mu.rates.items() if rate > 0.0]
-    total = sum(p for _, p in jumps)
-    if total >= 1.0:
-        raise StepSizeError(
-            f"total transition probability {total:.6g} >= 1; reduce the step size"
-        )
-    tel = StepTelemetry(attempted_updates=1)
-    u = rng.random()
-    acc = 0.0
-    for nu, p in jumps:
-        acc += p
-        if u < acc:
-            tel.drawn_jumps += 1
-            return _apply_jump(y, nu, space), tel
-    return y, tel
-
-
-def _combine_rk2(mu0: IntensityMap, mustar: IntensityMap, theta: float, clamp: str, tel):
-    w1 = 1.0 - 1.0 / (2.0 * theta)
-    w2 = 1.0 / (2.0 * theta)
-    combined = {}
-    for nu, r0 in mu0.rates.items():
-        if r0 <= 0.0:
-            continue  # jumps not available from the current state are excluded
-        val = w1 * r0 + w2 * mustar.rates.get(nu, 0.0)
-        tel.total_intensity_terms += 1
-        if val < 0.0:
-            tel.negative_intensity_events += 1
-            if clamp == ERROR_ON_NEGATIVE:
-                raise NumericalError(f"negative combined intensity {val:.6g} for jump {nu}")
-            val = 0.0
-        combined[nu] = val
-    return IntensityMap(combined)
-
-
-def _combine_trapezoidal(mu0: IntensityMap, mustar: IntensityMap, theta: float, clamp: str, tel):
-    a1, a2 = alpha_coefficients(theta)
-    combined = {}
-    for nu in set(mu0.rates) | set(mustar.rates):
-        r0 = mu0.rates.get(nu, 0.0)
-        rs = mustar.rates.get(nu, 0.0)
-        if r0 <= 0.0 and rs <= 0.0:
-            continue
-        val = a1 * rs - a2 * r0
-        tel.total_intensity_terms += 1
-        if val < 0.0:
-            tel.negative_intensity_events += 1
-            if clamp == ERROR_ON_NEGATIVE:
-                raise NumericalError(f"negative extrapolated intensity {val:.6g} for jump {nu}")
-            val = 0.0
-        combined[nu] = val
-    return IntensityMap(combined)
-
-
-def theta_rk2_step(
-    y,
-    n: int,
-    grid: TimeGrid,
-    oracle: IntensityOracle,
-    clamp: str = CLAMP_AT_ZERO,
-    *,
-    rng: np.random.Generator,
-    space: StateSpaceSpec | None = None,
-):
-    """Two-stage interpolation step over interval n.
-
-    Stage one leaps a fractional step theta*Delta to probe the intensity at
-    the section point; stage two re-leaps the full interval from the original
-    state with the weighted intensity, restricted to jumps available there.
-    """
-    rng1, rng2 = rng.spawn(2)
-    theta = grid.theta
-    dt = grid.deltas[n]
-    tel = StepTelemetry(nfe=1)
-    mu0 = oracle.rates(grid.points[n], y)
-    ystar, tel1 = tau_leaping_step(y, mu0, theta * dt, rng1, space)
-    tel.merge(tel1)
-    mustar = oracle.rates(grid.rho[n], ystar)
-    tel.nfe += 1
-    combined = _combine_rk2(mu0, mustar, theta, clamp, tel)
-    out, tel2 = tau_leaping_step(y, combined, dt, rng2, space)
-    tel.merge(tel2)
-    return out, tel
-
-
-def theta_trapezoidal_step(
-    y,
-    n: int,
-    grid: TimeGrid,
-    oracle: IntensityOracle,
-    clamp: str = CLAMP_AT_ZERO,
-    *,
-    rng: np.random.Generator,
-    space: StateSpaceSpec | None = None,
-):
-    """Two-stage extrapolation step over interval n.
-
-    Stage one is identical to theta-RK-2; stage two continues *from the
-    intermediate state* over the remaining (1-theta)*Delta with the
-    extrapolated intensity (alpha1 mu* - alpha2 mu)_+.
-    """
-    if not (0.0 < grid.theta < 1.0):
-        raise ConfigError("theta-trapezoidal needs theta in (0, 1)")
-    rng1, rng2 = rng.spawn(2)
-    theta = grid.theta
-    dt = grid.deltas[n]
-    tel = StepTelemetry(nfe=1)
-    mu0 = oracle.rates(grid.points[n], y)
-    ystar, tel1 = tau_leaping_step(y, mu0, theta * dt, rng1, space)
-    tel.merge(tel1)
-    mustar = oracle.rates(grid.rho[n], ystar)
-    tel.nfe += 1
-    combined = _combine_trapezoidal(mu0, mustar, theta, clamp, tel)
-    out, tel2 = tau_leaping_step(ystar, combined, (1.0 - theta) * dt, rng2, space)
-    tel.merge(tel2)
-    return out, tel
-
-
-def uniformization_sample(
-    oracle: IntensityOracle,
-    window: tuple[float, float],
-    y0,
-    rng: np.random.Generator,
-    space: StateSpaceSpec | None = None,
-):
-    """Exact simulation over a window by thinning a dominating Poisson clock.
-
-    Candidate times arrive at rate ``total_bound``; each candidate either
-    applies one jump (with probability rate/bound) or nothing.  The declared
-    bound is checked against every observed total; a violation is an error,
-    never silently clipped.
-    """
-    s_lo, s_hi = window
-    if not s_hi > s_lo:
-        raise ConfigError(f"window must have positive length, got {window}")
-    bound = float(oracle.total_bound(s_lo, s_hi))
-    if not (np.isfinite(bound) and bound >= 0.0):
-        raise ConfigError(f"dominating bound must be finite and nonnegative, got {bound}")
-    tel = StepTelemetry()
-    y = y0
-    n_candidates = rng.poisson(bound * (s_hi - s_lo))
-    if n_candidates == 0:
-        return y, tel
-    times = np.sort(rng.random(n_candidates)) * (s_hi - s_lo) + s_lo
-    for s in times:
-        mu = oracle.rates(float(s), y)
-        tel.nfe += 1
-        total = mu.total()
-        if total > bound * (1.0 + BOUND_RTOL):
-            raise BoundViolationError(
-                f"total intensity {total:.6g} exceeds declared bound {bound:.6g} "
-                f"at reverse time {s:.6g}"
-            )
-        u = rng.random() * bound
-        if u >= total:
-            continue  # thinned: no jump at this candidate
-        acc = 0.0
-        for nu, rate in mu.rates.items():
-            acc += rate
-            if u < acc:
-                y = _apply_jump(y, nu, space)
-                tel.drawn_jumps += 1
-                break
-    return y, tel
-
-
 def run_sampler(config: SolverConfig, model, n_samples: int, workers: int = 1, collect_nfe: bool = False):
     """Sample ``n_samples`` independent trajectories through the grid.
 
     Results are bit-reproducible from (seed, n_samples) alone: randomness is
     keyed by fixed-size trajectory chunks, so the worker count only affects
-    wall time.  Returns ``(samples, telemetry)`` (plus per-trajectory NFE
-    counts when ``collect_nfe`` is set, as used by the exact-check study).
+    wall time.  Returns ``(samples, telemetry)``; with ``collect_nfe`` a third
+    item holds per-trajectory NFE counts for uniformization and ``None`` for
+    the stepping methods, whose NFE is the same for every trajectory.
     """
     from . import engine
 

@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from thetaleap.cli import build_config, cmd_exact_check, cmd_masked_converge, cmd_toy_converge, main
-from thetaleap.ctmc import IntensityMap, StateSpaceSpec
+from thetaleap.cli import COMMANDS, build_config, cmd_masked_converge, cmd_toy_converge, main
 from thetaleap.metrics import fit_loglog_slope, noise_floor
-from thetaleap.solvers import make_time_grid, theta_trapezoidal_step
+from thetaleap.solvers import SolverConfig, make_time_grid, run_sampler
+
+from tiny_models import ConstantRates, drawn_per_trajectory, record_poisson
 
 WORKERS = str(min(8, os.cpu_count() or 1))
 TOY_M = 10**6
@@ -106,7 +107,7 @@ def test_criterion_4_uniformization_exactness():
         config = build_config(
             "exact-check", {"workers": WORKERS, "samples": str(TOY_M), "seed": str(seed)}
         )
-        rows, _ = cmd_exact_check(config)
+        rows, _ = COMMANDS["exact-check"](config)
         kls.append(rows[0].kl)
     ok = all(kl < threshold for kl in kls)
     _report(
@@ -135,23 +136,18 @@ def test_criterion_5_positivity_telemetry(toy_rows):
     _report("5", ok, "positivity over N=4..128 -> " + " | ".join(details))
 
 
-def test_criterion_6_homogeneous_intensity_is_poisson():
+def test_criterion_6_homogeneous_intensity_is_poisson(monkeypatch):
     # state-independent constant intensity: the two trapezoidal stages add up
-    # to Poisson(mu * dt) pre-rejection counts because alpha1 - alpha2 = 1
+    # to Poisson(mu * dt) pre-rejection counts because alpha1 - alpha2 = 1;
+    # the per-trajectory counts are the engine's own recorded Poisson draws
     mu, dt, theta = 0.8, 1.0, 0.3
     n_draws = 10**5
 
-    class Constant:
-        def rates(self, s, y):
-            return IntensityMap({1: mu})
-
-    grid = make_time_grid(dt, 0.0, 1, theta)
-    space = StateSpaceSpec(d=1, S=10**6, periodic=True)
-    rng = np.random.default_rng(2024)
-    counts = np.empty(n_draws, dtype=np.int64)
-    for i in range(n_draws):
-        _, tel = theta_trapezoidal_step(0, 0, grid, Constant(), rng=rng, space=space)
-        counts[i] = tel.drawn_jumps
+    draws = record_poisson(monkeypatch)
+    config = SolverConfig("theta-trapezoidal", make_time_grid(dt, 0.0, 1, theta), seed=2024)
+    _, tel = run_sampler(config, ConstantRates([[mu]]), n_draws)
+    counts = drawn_per_trajectory(draws)
+    assert counts.size == n_draws and counts.sum() == tel.drawn_jumps
     observed = np.bincount(counts)
     expected = n_draws * stats.poisson.pmf(np.arange(observed.size), mu * dt)
     expected[-1] += n_draws * stats.poisson.sf(observed.size - 1, mu * dt)

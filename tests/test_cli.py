@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from thetaleap.cli import (
+    COMMANDS,
     CSV_HEADER,
     ResultRow,
     build_config,
@@ -197,6 +198,39 @@ def test_cli_exit_code_numerical_error(tmp_path):
     assert code == 4
 
 
+def _write_table(path, probs, d, S):
+    path.write_text(f"# d={d} S={S}\n" + "\n".join(f"{i} {v:.17g}" for i, v in enumerate(probs)) + "\n")
+    return str(path)
+
+
+def test_cli_masked_large_vocabulary(tmp_path):
+    # S = 200 tokens plus MASK do not fit the int8 states used for small S
+    table = _write_table(tmp_path / "s200.txt", np.full(200, 1 / 200), d=1, S=200)
+    code, out = _run_cli(
+        tmp_path,
+        "masked.csv",
+        ["masked-converge", "--samples", "2000", "--steps", "4", "--method", "tau-leaping",
+         "--bootstrap", "10", "--target-file", table],
+    )
+    assert code == 0
+    assert parse_results(out)[0].steps == 4
+
+
+def test_cli_zero_mass_target_is_a_model_error(tmp_path):
+    # theta = 1 with no early stop evaluates the score at the target itself,
+    # where a zero-mass state has none: exit 4, not a raw traceback
+    p = np.full(15, 1 / 14)
+    p[0] = 0.0
+    table = _write_table(tmp_path / "p0.txt", p, d=1, S=15)
+    with pytest.warns(UserWarning):
+        code = main(
+            ["toy-converge", "--samples", "1000", "--steps", "4", "--method", "theta-rk2",
+             "--theta", "1", "--delta", "0", "--bootstrap", "10", "--target-file", table,
+             "--out", str(tmp_path / "x.csv")]
+        )
+    assert code == 4
+
+
 def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("THETALEAP_WORKERS", "3")
     assert build_config("toy-converge", {}).workers == 3
@@ -205,8 +239,6 @@ def test_workers_env_default(monkeypatch):
 
 
 def test_exact_check_nfe_grows_as_delta_shrinks(tmp_path):
-    from thetaleap.cli import cmd_exact_check
-
     means = []
     for delta in (1.0, 0.1, 0.0):
         cfg = build_config(
@@ -214,7 +246,7 @@ def test_exact_check_nfe_grows_as_delta_shrinks(tmp_path):
             {"samples": "20000", "steps": "32", "seed": "4", "bootstrap": "10",
              "delta": str(delta)},
         )
-        rows, _ = cmd_exact_check(cfg)
+        rows, _ = COMMANDS["exact-check"](cfg)
         means.append(rows[0].nfe)
     assert means[0] < means[1] < means[2]
 

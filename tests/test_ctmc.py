@@ -4,21 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetaleap.ctmc import (
-    IntensityMap,
     ProbabilityVector,
     RateMatrix,
-    ScoreVector,
-    StateSpaceSpec,
-    backward_intensity,
     build_uniform_rate_matrix,
     forward_marginal_closed,
     forward_marginal_general,
-    score,
-    total_intensity,
 )
-from thetaleap.errors import ConfigError, SingularIntensityError, SingularScoreError
+from thetaleap.errors import ConfigError, SingularScoreError
+from thetaleap.models import ToyUniformModel
+from thetaleap.solvers import SolverConfig, make_time_grid, run_sampler
 
-from kernel_oracle import two_state_marginal
+from kernel_oracle import toy_reverse_rates, two_state_marginal
 
 
 def test_uniform_rate_matrix_s2():
@@ -143,21 +139,33 @@ def test_semigroup_property_random_generators():
         assert np.abs(direct - chained).max() < 1e-9
 
 
+# score ratios and reverse intensities, as computed by ToyUniformModel.rates_batch:
+# the rate from y to w at reverse time s is p_t(w) / (S p_t(y)) with t = T - s
+
+
+def _toy(probs, horizon=1.0):
+    return ToyUniformModel(ProbabilityVector(np.asarray(probs, dtype=float)), horizon=horizon)
+
+
+def _all_rows(model, s):
+    return model.rates_batch(s, np.arange(model.S))
+
+
 def test_score_uniform_is_all_ones():
-    p = ProbabilityVector(np.full(5, 0.2))
-    assert np.array_equal(score(p, 3).values, np.ones(5))
+    model = _toy(np.full(5, 0.2))
+    for s in (0.0, 0.5, 1.0):
+        assert np.array_equal(5 * _all_rows(model, s), 1.0 - np.eye(5))
 
 
 def test_score_hand_ratios():
-    p = ProbabilityVector(np.array([0.2, 0.8]))
-    assert np.allclose(score(p, 0).values, [1.0, 4.0])
-    assert np.allclose(score(p, 1).values, [0.25, 1.0])
+    # at s = T the marginal is the target itself
+    scores = 2 * _all_rows(_toy([0.2, 0.8]), 1.0)
+    assert np.allclose(scores, [[0.0, 4.0], [0.25, 0.0]])
 
 
 def test_score_zero_mass_raises():
-    p = ProbabilityVector(np.array([0.0, 1.0]))
     with pytest.raises(SingularScoreError):
-        score(p, 0)
+        _toy([0.0, 1.0]).rates_batch(1.0, np.array([0]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -165,79 +173,67 @@ def test_score_zero_mass_raises():
 def test_score_scale_invariance(S, seed, c):
     rng = np.random.default_rng(seed)
     w = rng.random(S) + 1e-3
-    p = ProbabilityVector(w / w.sum())
-    scaled = ProbabilityVector((c * w) / (c * w).sum())
-    x = int(rng.integers(S))
-    assert np.allclose(score(p, x).values, score(scaled, x).values, rtol=1e-12)
+    p, scaled = _toy(w / w.sum()), _toy((c * w) / (c * w).sum())
+    for s in (0.3, 1.0):
+        assert np.allclose(_all_rows(p, s), _all_rows(scaled, s), rtol=1e-12)
 
 
 def test_score_base_state_exactly_one():
+    # the base state's own ratio is 1 and carries no jump: the diagonal is exactly zero
     rng = np.random.default_rng(3)
     w = rng.random(9) + 1e-6
-    p = ProbabilityVector(w / w.sum())
-    for x in range(9):
-        assert score(p, x).values[x] == 1.0
+    model = _toy(w / w.sum())
+    for s in (0.0, 0.7, 1.0):
+        assert np.all(np.diag(_all_rows(model, s)) == 0.0)
 
 
 def test_backward_intensity_uniform_case():
-    space = StateSpaceSpec(d=1, S=15)
-    q = build_uniform_rate_matrix(15)
-    p = ProbabilityVector(np.full(15, 1 / 15))
-    m = backward_intensity(space, q, score(p, 4), 4)
-    assert len(m.rates) == 14
-    assert all(abs(r - 1 / 15) < 1e-15 for r in m.rates.values())
+    model = _toy(np.full(15, 1 / 15), horizon=12.0)
+    for row in _all_rows(model, 6.0):
+        assert np.count_nonzero(row) == 14
+        assert np.abs(row[row > 0] - 1 / 15).max() < 1e-15
 
 
 def test_backward_intensity_matches_score_ratio_formula():
     rng = np.random.default_rng(5)
     w = rng.random(15)
-    p = ProbabilityVector(w / w.sum())
-    space = StateSpaceSpec(d=1, S=15)
-    q = build_uniform_rate_matrix(15)
-    y = 6
-    m = backward_intensity(space, q, score(p, y), y)
-    for nu, rate in m.rates.items():
-        w_target = y + nu
-        assert abs(rate - p.probs[w_target] / p.probs[y] / 15) < 1e-14
+    model = _toy(w / w.sum(), horizon=12.0)
+    for s in (0.0, 6.0, 11.9, 12.0):
+        want = toy_reverse_rates(model.p0.probs, 12.0, s)
+        assert np.abs(_all_rows(model, s) - want).max() < 1e-14
 
 
 def test_backward_intensity_zero_mass_target_rate_zero():
-    p = ProbabilityVector(np.array([0.5, 0.5, 0.0]))
-    space = StateSpaceSpec(d=1, S=3)
-    q = build_uniform_rate_matrix(3)
-    m = backward_intensity(space, q, score(p, 0), 0)
-    assert m.rates[2] == 0.0
+    # the rate toward a zero-mass target state vanishes as t -> 0
+    model = _toy([0.5, 0.5, 0.0])
+    rates = [model.rates_batch(1.0 - t, np.array([0]))[0, 2] for t in (1e-3, 1e-6, 1e-9)]
+    assert all(a > b > 0.0 for a, b in zip(rates, rates[1:])) and rates[-1] < 1e-9
 
 
 def test_backward_intensity_nonnegative_finite_for_positive_marginals():
     rng = np.random.default_rng(9)
     w = rng.random(8) + 1e-4
-    p = ProbabilityVector(w / w.sum())
-    space = StateSpaceSpec(d=1, S=8)
-    q = build_uniform_rate_matrix(8)
-    for y in range(8):
-        m = backward_intensity(space, q, score(p, y), y)
-        vals = np.array(list(m.rates.values()))
+    model = _toy(w / w.sum())
+    for s in (0.0, 0.5, 1.0):
+        vals = _all_rows(model, s)
         assert np.all(vals >= 0) and np.all(np.isfinite(vals))
 
 
 def test_backward_intensity_infinite_score_raises():
-    space = StateSpaceSpec(d=1, S=3)
-    q = build_uniform_rate_matrix(3)
-    sc = ScoreVector(np.array([1.0, np.inf, 2.0]), 0)
-    with pytest.raises(SingularIntensityError):
-        backward_intensity(space, q, sc, 0)
+    # theta = 1 puts the section point at s = T, where a zero-mass target
+    # state has an infinite score: the engine raises a typed error naming the
+    # trajectories instead of drawing from an infinite rate
+    with pytest.warns(UserWarning):
+        config = SolverConfig("theta-rk2", make_time_grid(1.0, 0.0, 2, 1.0), seed=0)
+    with pytest.raises(SingularScoreError, match="trajectories"):
+        run_sampler(config, _toy([0.5, 0.5, 0.0]), 100)
 
 
 def test_total_intensity():
-    assert total_intensity(IntensityMap({})) == 0.0
-    assert abs(total_intensity(IntensityMap({1: 0.3})) - 0.3) < 1e-15
-    uniform = IntensityMap({nu: 1 / 15 for nu in range(1, 15)})
-    assert abs(total_intensity(uniform) - 14 / 15) < 1e-12
-
-
-def test_state_space_spec_validation():
-    with pytest.raises(ConfigError):
-        StateSpaceSpec(d=0, S=4)
-    with pytest.raises(ConfigError):
-        StateSpaceSpec(d=1, S=1)
+    # total rate out of y is (1 - p_t(y)) / (S p_t(y)); 14/15 on the uniform toy
+    assert np.abs(_all_rows(_toy(np.full(15, 1 / 15)), 0.5).sum(axis=1) - 14 / 15).max() < 1e-12
+    rng = np.random.default_rng(8)
+    w = rng.random(6) + 1e-3
+    model = _toy(w / w.sum())
+    p = forward_marginal_closed(model.p0, 1.0 - 0.4).probs
+    assert np.allclose(_all_rows(model, 0.4).sum(axis=1), (1 - p) / (6 * p), rtol=1e-12)

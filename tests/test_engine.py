@@ -34,24 +34,6 @@ def test_batch_sampler_matches_exact_scheme_kernel(toy, method):
     assert kl < 3 * noise_floor(m, 15)
 
 
-def test_scalar_steps_match_exact_scheme_kernel(toy):
-    # the per-state reference implementation agrees with the same oracle
-    from thetaleap.solvers import theta_trapezoidal_step
-
-    n_steps, m = 4, 20_000
-    grid = make_time_grid(HORIZON, 0.0, n_steps, 0.5)
-    rng = np.random.default_rng(21)
-    out = np.empty(m, dtype=np.int64)
-    for i in range(m):
-        y = int(rng.integers(15))
-        for n in range(n_steps):
-            y, _ = theta_trapezoidal_step(y, n, grid, toy, rng=rng)
-        out[i] = y
-    exact = exact_scheme_distribution("theta-trapezoidal", toy.p0.probs, HORIZON, n_steps, 0.5)
-    kl = kl_divergence(exact, empirical_distribution(out, 15))
-    assert kl < 3 * noise_floor(m, 15)
-
-
 def test_worker_count_does_not_change_samples(toy):
     grid = make_time_grid(HORIZON, 0.0, 4, 0.5)
     cfg = SolverConfig("theta-trapezoidal", grid, seed=9)

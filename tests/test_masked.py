@@ -8,17 +8,12 @@ from thetaleap.masked import (
     NoiseSchedule,
     TargetTable,
     TokenSequence,
-    absorbing_rate_matrix,
-    conditional_probs,
     forward_mask_sample,
     load_target_table,
-    masked_score,
     random_target_table,
     save_target_table,
-    schedule_sigma,
-    schedule_sigma_bar,
-    score_prefactor,
 )
+from thetaleap.models import MaskedToyModel
 
 from kernel_oracle import brute_force_conditionals
 
@@ -34,24 +29,24 @@ def sched():
 
 
 def test_sigma_at_zero(sched):
-    assert abs(schedule_sigma(sched, 0.0) - (1 - EPS)) < 1e-15
+    assert abs(sched.sigma(0.0) - (1 - EPS)) < 1e-15
 
 
 def test_sigma_at_one_is_999(sched):
-    assert abs(schedule_sigma(sched, 1.0) - (1 - EPS) / EPS) < 1e-9
-    assert abs(schedule_sigma(sched, 1.0) - 999.0) < 1e-9
+    assert abs(sched.sigma(1.0) - (1 - EPS) / EPS) < 1e-9
+    assert abs(sched.sigma(1.0) - 999.0) < 1e-9
 
 
 def test_sigma_domain_error(sched):
     with pytest.raises(ConfigError):
-        schedule_sigma(sched, 1.5)
+        sched.sigma(1.5)
     with pytest.raises(ConfigError):
-        schedule_sigma(sched, -0.1)
+        sched.sigma(-0.1)
 
 
 def test_sigma_bar_endpoints(sched):
-    assert schedule_sigma_bar(sched, 0.0) == 0.0
-    assert abs(schedule_sigma_bar(sched, 1.0) - (-np.log(EPS))) < 1e-12
+    assert sched.sigma_bar(0.0) == 0.0
+    assert abs(sched.sigma_bar(1.0) - (-np.log(EPS))) < 1e-12
 
 
 def test_sigma_bar_strictly_increasing(sched):
@@ -63,8 +58,8 @@ def test_sigma_bar_strictly_increasing(sched):
 def test_sigma_bar_derivative_matches_sigma(sched):
     h = 1e-5
     for t in (0.1, 0.4, 0.9):
-        fd = (schedule_sigma_bar(sched, t + h) - schedule_sigma_bar(sched, t - h)) / (2 * h)
-        assert abs(fd - schedule_sigma(sched, t)) < 1e-6
+        fd = (sched.sigma_bar(t + h) - sched.sigma_bar(t - h)) / (2 * h)
+        assert abs(fd - sched.sigma(t)) < 1e-6
 
 
 def test_schedule_rejects_bad_eps():
@@ -73,27 +68,37 @@ def test_schedule_rejects_bad_eps():
             NoiseSchedule(eps)
 
 
-# score prefactor
+# score prefactor, carried by the masked model's unmask rate scale
+# coef = sigma(t) * prefactor(t) with prefactor = e^{-sigma_bar} / (1 - e^{-sigma_bar})
 
 
-def test_prefactor_one_at_sigma_bar_log2(sched):
+@pytest.fixture
+def model(sched):
+    return MaskedToyModel(random_target_table(2, 3, np.random.default_rng(6)), sched)
+
+
+def _prefactor(model, t):
+    return float(model._coef(1.0 - t) / model.schedule.sigma(t))
+
+
+def test_prefactor_one_at_sigma_bar_log2(sched, model):
     t = 1.0 / (2.0 * (1 - EPS))  # sigma_bar = log 2
-    assert abs(schedule_sigma_bar(sched, t) - np.log(2)) < 1e-12
-    assert abs(score_prefactor(sched, t) - 1.0) < 1e-12
+    assert abs(sched.sigma_bar(t) - np.log(2)) < 1e-12
+    assert abs(_prefactor(model, t) - 1.0) < 1e-12
 
 
-def test_prefactor_limit_toward_one(sched):
-    assert abs(score_prefactor(sched, 1.0) - EPS / (1 - EPS)) < 1e-12
+def test_prefactor_limit_toward_one(model):
+    assert abs(_prefactor(model, 1.0) - EPS / (1 - EPS)) < 1e-12
 
 
-def test_prefactor_singular_at_zero(sched):
+def test_prefactor_singular_at_zero(model):
     with pytest.raises(SingularScoreError):
-        score_prefactor(sched, 0.0)
+        model._coef(1.0)  # reverse time s = horizon is forward time t = 0
 
 
-def test_prefactor_strictly_decreasing(sched):
+def test_prefactor_strictly_decreasing(model):
     ts = np.linspace(0.01, 1.0, 50)
-    vals = [score_prefactor(sched, t) for t in ts]
+    vals = [_prefactor(model, t) for t in ts]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -181,7 +186,7 @@ def test_conditionals_uniform_target():
     table = TargetTable(np.full((3, 3), 1 / 9))
     oracle = ConditionalOracle(table)
     seq = TokenSequence(np.array([3, 3]), 3)  # both masked
-    probs = conditional_probs(oracle, seq)
+    probs = oracle.conditional_probs(seq)
     assert np.abs(probs - 1 / 3).max() < 1e-12
 
 
@@ -190,7 +195,7 @@ def test_conditionals_point_mass():
     probs[0, 1] = 1.0
     oracle = ConditionalOracle(TargetTable(probs))
     seq = TokenSequence(np.array([0, 3]), 3)  # first observed as 0, second masked
-    out = conditional_probs(oracle, seq)
+    out = oracle.conditional_probs(seq)
     assert np.array_equal(out[1], [0.0, 1.0, 0.0])
     assert np.array_equal(out[0], [1.0, 0.0, 0.0])  # observed row is one-hot
 
@@ -202,7 +207,7 @@ def test_conditionals_match_brute_force_enumeration():
     for _ in range(25):
         tokens = rng.integers(0, 5, size=3)  # 4 = MASK
         seq = TokenSequence(tokens, 4)
-        got = conditional_probs(oracle, seq)
+        got = oracle.conditional_probs(seq)
         want = brute_force_conditionals(table.probs, tokens, 4)
         assert np.abs(got - want).max() < 1e-12
 
@@ -213,7 +218,7 @@ def test_conditional_rows_sum_to_one_and_one_hot():
     oracle = ConditionalOracle(table)
     for _ in range(20):
         tokens = rng.integers(0, 5, size=3)
-        out = conditional_probs(oracle, TokenSequence(tokens, 4))
+        out = oracle.conditional_probs(TokenSequence(tokens, 4))
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
         for l, tok in enumerate(tokens):
             if tok != 4:
@@ -227,30 +232,31 @@ def test_unreachable_context_raises():
     probs[0, 0] = probs[0, 1] = 0.5  # first token is always 0
     oracle = ConditionalOracle(TargetTable(probs))
     with pytest.raises(UnreachableContextError):
-        conditional_probs(oracle, TokenSequence(np.array([1, 2]), 2))
+        oracle.conditional_probs(TokenSequence(np.array([1, 2]), 2))
 
 
-# masked score
+# masked score: the model's unmask rates are coef(s) times the conditionals
 
 
-def test_masked_score_equals_conditionals_at_unit_prefactor(sched):
-    table = random_target_table(2, 3, np.random.default_rng(6))
-    oracle = ConditionalOracle(table)
+def test_masked_score_equals_conditionals_at_unit_prefactor(sched, model):
     t = 1.0 / (2.0 * (1 - EPS))
     seq = TokenSequence(np.array([3, 1]), 3)
-    got = masked_score(oracle, sched, seq, t)
-    assert np.abs(got - conditional_probs(oracle, seq)).max() < 1e-12
+    got = model.rates_batch(1.0 - t, seq.tokens[None, :])[0].reshape(2, 3)
+    want = float(sched.sigma(t)) * model.oracle.conditional_probs(seq)
+    assert np.abs(got[0] - want[0]).max() < 1e-12
+    assert np.all(got[1] == 0.0)  # the observed position carries no rate
 
 
-def test_masked_score_singular_at_zero(sched):
-    table = random_target_table(2, 3, np.random.default_rng(7))
-    oracle = ConditionalOracle(table)
+def test_masked_score_singular_at_zero(model):
     with pytest.raises(SingularScoreError):
-        masked_score(oracle, sched, TokenSequence(np.array([3, 3]), 3), 0.0)
+        model.rates_batch(1.0, np.array([[3, 3]]))
 
 
-def test_absorbing_rate_matrix_structure():
-    q = absorbing_rate_matrix(3, 0.7).entries
-    assert np.allclose(q[3, :3], 0.7)
-    assert np.allclose(np.diag(q)[:3], -0.7)
-    assert np.allclose(q[:, 3], 0.0)  # MASK column: absorbing
+def test_absorbing_rate_matrix_structure(model):
+    # MASK is absorbing forward, so in reverse only MASK -> token jumps carry
+    # rate: a fully unmasked sequence never moves, and no slot re-masks
+    tokens = np.array([[0, 2], [1, 1], [3, 0], [3, 3]])
+    rates = model.rates_batch(0.4, tokens)
+    assert rates.shape == (4, 2 * 3)  # slots are tokens 0..S-1 only, MASK has none
+    assert np.all(rates[:2] == 0.0)
+    assert np.all(rates[2].reshape(2, 3)[1] == 0.0) and rates[2].reshape(2, 3)[0].sum() > 0

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from thetaleap.ctmc import ProbabilityVector
+from thetaleap.ctmc import ProbabilityVector, forward_marginal_closed
 from thetaleap.engine import substream
 from thetaleap.errors import ConfigError
-from thetaleap.masked import NoiseSchedule, TokenSequence, random_target_table
+from thetaleap.masked import NoiseSchedule, random_target_table
 from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
 from thetaleap.models import MaskedToyModel, ToyUniformModel, sample_simplex
 from thetaleap.solvers import SolverConfig, make_time_grid, run_sampler
+
+from kernel_oracle import brute_force_conditionals, toy_reverse_rates
 
 
 @pytest.fixture(scope="module")
@@ -23,24 +25,23 @@ def test_sample_simplex_is_valid_distribution():
 
 
 def test_toy_scalar_rates_match_score_ratio(toy):
+    # the rate of jumping from y to w is the score ratio p_t(w)/p_t(y) times 1/S
     s = 4.0
-    p = toy.reverse_marginal(s).probs
-    m = toy.rates(s, 3)
-    assert len(m.rates) == 14
-    for nu, rate in m.rates.items():
-        assert abs(rate - p[3 + nu] / p[3] / 15) < 1e-14
+    p = forward_marginal_closed(toy.p0, toy.horizon - s).probs
+    row = toy.rates_batch(s, np.array([3]))[0]
+    assert row[3] == 0.0 and np.count_nonzero(row) == 14
+    for w in range(15):
+        if w != 3:
+            assert abs(row[w] - p[w] / p[3] / 15) < 1e-14
 
 
 def test_toy_batch_rates_match_scalar(toy):
+    # every row agrees with the per-state formula of the test oracle
     states = np.arange(15, dtype=np.int64)
-    for s in (0.0, 5.0, 11.5):
+    for s in (0.0, 5.0, 11.5, 12.0):
         batch = toy.rates_batch(s, states)
-        for y in range(15):
-            scalar = toy.rates(s, y)
-            row = np.zeros(15)
-            for nu, rate in scalar.rates.items():
-                row[y + nu] = rate
-            assert np.abs(batch[y] - row).max() < 1e-14
+        want = toy_reverse_rates(toy.p0.probs, toy.horizon, s)
+        assert np.abs(batch - want).max() < 1e-14
 
 
 def test_toy_batch_rates_vector_times(toy):
@@ -80,36 +81,37 @@ def test_masked_unmask_rate_scale_is_inverse_time():
 
 
 def test_masked_scalar_rates_structure():
+    # only masked positions carry rate: coef(s) times the exact conditional
     table = random_target_table(3, 4, np.random.default_rng(2))
     model = MaskedToyModel(table, NoiseSchedule(1e-3))
-    y = (4, 1, 4)  # positions 0 and 2 masked
-    m = model.rates(0.5, y)
-    coords = {nu[0] for nu in m.rates}
-    assert coords == {0, 2}  # no jumps out of the unmasked position
-    cond = model.oracle.conditional_probs(TokenSequence(np.array(y), 4))
+    y = np.array([4, 1, 4])  # positions 0 and 2 masked
+    rates = model.rates_batch(0.5, y[None, :])[0].reshape(3, 4)
+    assert np.all(rates[1] == 0.0)  # no jumps out of the unmasked position
+    cond = brute_force_conditionals(table.probs, y, 4)
     coef = float(model._coef(0.5))
-    for (l, v), rate in m.rates.items():
-        assert abs(rate - coef * cond[l, v]) < 1e-10
+    for l in (0, 2):
+        assert np.abs(rates[l] - coef * cond[l]).max() < 1e-10
 
 
 def test_masked_batch_rates_match_scalar():
+    # every row agrees with brute-force conditionals times coef on masked positions
     table = random_target_table(3, 4, np.random.default_rng(3))
     model = MaskedToyModel(table, NoiseSchedule(1e-3))
     states = np.array([[4, 4, 4], [0, 4, 2], [1, 2, 3]], dtype=np.int8)
     batch = model.rates_batch(0.3, states)
+    coef = float(model._coef(0.3))
     for i in range(states.shape[0]):
-        scalar = model.rates(0.3, tuple(int(v) for v in states[i]))
-        row = np.zeros((3, 4))
-        for (l, v), rate in scalar.rates.items():
-            row[l, v] = rate
-        assert np.abs(batch[i] - row.ravel()).max() < 1e-10
+        cond = brute_force_conditionals(table.probs, states[i].astype(np.int64), 4)
+        want = coef * cond * (states[i] == 4)[:, None]
+        assert np.abs(batch[i] - want.ravel()).max() < 1e-10
 
 
 def test_masked_q0_is_all_mask():
-    table = random_target_table(2, 3, np.random.default_rng(4))
-    model = MaskedToyModel(table)
-    q0 = model.sample_q0_batch(np.random.default_rng(0), 7)
-    assert np.all(q0 == 3)
+    # states use the smallest signed type that holds MASK (= S)
+    for d, S, dtype in ((2, 3, np.int8), (1, 127, np.int8), (1, 128, np.int16), (1, 200, np.int16)):
+        model = MaskedToyModel(random_target_table(d, S, np.random.default_rng(4)))
+        q0 = model.sample_q0_batch(np.random.default_rng(0), 7)
+        assert q0.dtype == dtype and np.all(q0 == S)
 
 
 def test_masked_finalize_fill_is_conditionally_exact():

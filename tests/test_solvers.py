@@ -1,48 +1,28 @@
+"""Time grids, extrapolation weights and solver configuration, plus the
+pinned per-trajectory behaviour of every scheme, checked through
+:func:`run_sampler` on tiny constant-rate or time-switched batch models."""
+
 import numpy as np
 import pytest
 
-from thetaleap.ctmc import IntensityMap, StateSpaceSpec
+from thetaleap import engine
 from thetaleap.errors import BoundViolationError, ConfigError, NumericalError, StepSizeError
 from thetaleap.solvers import (
     ERROR_ON_NEGATIVE,
     SolverConfig,
     alpha_coefficients,
-    euler_step,
     make_time_grid,
-    tau_leaping_step,
-    theta_rk2_step,
-    theta_trapezoidal_step,
-    uniformization_sample,
+    run_sampler,
 )
 
 from kernel_oracle import two_state_marginal
+from tiny_models import ConstantRates, SwitchedRates, TwoState, drawn_per_trajectory, record_poisson
 
 
-class ConstantOracle:
-    """State-independent, time-independent intensity over given jumps."""
-
-    def __init__(self, rates, bound=None):
-        self._rates = dict(rates)
-        self._bound = bound if bound is not None else sum(rates.values())
-
-    def rates(self, s, y):
-        return IntensityMap(dict(self._rates))
-
-    def total_bound(self, s_lo, s_hi):
-        return self._bound
-
-
-class TwoStateOracle:
-    """Forward 2-state chain (rates a: 0->1, b: 1->0) as a jump oracle."""
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def rates(self, s, y):
-        return IntensityMap({1: self.a} if y == 0 else {-1: self.b})
-
-    def total_bound(self, s_lo, s_hi):
-        return max(self.a, self.b)
+def _sample(model, method, horizon, m, n_steps=1, theta=0.5, seed=0, **kwargs):
+    """Run ``m`` trajectories of ``method`` over [0, horizon] in ``n_steps`` intervals."""
+    config = SolverConfig(method, make_time_grid(horizon, 0.0, n_steps, theta), seed, **kwargs)
+    return run_sampler(config, model, m, collect_nfe=method == "uniformization")
 
 
 # time grids
@@ -109,82 +89,60 @@ def test_alpha_rejects_endpoints():
 
 
 def test_tau_leap_zero_rates_never_moves():
-    rng = np.random.default_rng(1)
-    y, tel = tau_leaping_step(3, IntensityMap({}), 0.5, rng)
-    assert y == 3 and tel.rejected_steps == 0
+    samples, tel = _sample(ConstantRates([[0.0, 0.0]]), "tau-leaping", 0.5, 1000, seed=1)
+    assert np.all(samples == 0) and tel.rejected_steps == 0 and tel.drawn_jumps == 0
 
 
 def test_tau_leap_single_jump_probabilities():
     # P(applied) = lam*e^-lam, P(reject) = 1 - e^-lam (1+lam) at lam = 0.1
     lam = 0.1
     n = 200_000
-    rng = np.random.default_rng(2)
-    applied = rejected = 0
-    for _ in range(n):
-        y, tel = tau_leaping_step(0, IntensityMap({1: 1.0}), lam, rng)
-        applied += y == 1
-        rejected += tel.rejected_steps
+    samples, tel = _sample(ConstantRates([[0.0, 1.0]]), "tau-leaping", lam, n, seed=2)
     p_apply = lam * np.exp(-lam)
     p_reject = 1 - np.exp(-lam) * (1 + lam)
-    for freq, p in ((applied / n, p_apply), (rejected / n, p_reject)):
+    for freq, p in (((samples == 1).mean(), p_apply), (tel.rejected_steps / n, p_reject)):
         se = np.sqrt(p * (1 - p) / n)
         assert abs(freq - p) < 4 * se
 
 
 def test_tau_leap_rejects_multijump_per_coordinate():
-    # two jump types on one coordinate with enormous rates: always >= 2 draws
-    rng = np.random.default_rng(3)
-    mu = IntensityMap({(0, 1): 50.0, (0, 2): 50.0})
-    y, tel = tau_leaping_step((0,), mu, 1.0, rng)
-    assert y == (0,) and tel.rejected_steps == 1
+    # two jump slots on one coordinate with enormous rates: always >= 2 draws
+    m = 1000
+    samples, tel = _sample(ConstantRates([[0.0, 50.0, 50.0]]), "tau-leaping", 1.0, m, seed=3)
+    assert np.all(samples == 0) and tel.rejected_steps == m
 
 
-def test_tau_leap_applies_at_most_one_jump_per_coordinate():
-    rng = np.random.default_rng(4)
-    mu = IntensityMap({(0, 1): 0.8, (1, 1): 0.8})
-    for _ in range(500):
-        start = (0, 0)
-        y, tel = tau_leaping_step(start, mu, 1.0, rng)
-        changed = sum(a != b for a, b in zip(y, start))
-        if tel.rejected_steps:
-            assert y == start
-        else:
-            assert changed <= 2  # at most one change per coordinate
-            assert all(v in (0, 1) for v in y)
-
-
-def test_tau_leap_periodic_wrap():
-    space = StateSpaceSpec(d=1, S=5, periodic=True)
-    rng = np.random.default_rng(5)
-    moved = False
-    for _ in range(200):
-        y, tel = tau_leaping_step(4, IntensityMap({1: 3.0}), 0.3, rng, space=space)
-        assert y in (4, 0)
-        moved |= y == 0
-    assert moved
+def test_tau_leap_applies_at_most_one_jump_per_coordinate(monkeypatch):
+    # from the recorded per-slot counts: a row with two draws on one
+    # coordinate stays put, any other row moves exactly its drawn coordinates
+    draws = record_poisson(monkeypatch)
+    m = 500
+    samples, tel = _sample(ConstantRates([[0.0, 0.8], [0.0, 0.8]]), "tau-leaping", 1.0, m, seed=4)
+    per_coord = draws[(engine.TAG_STEP, 0, 0, 0)].reshape(m, 2, 2).sum(axis=2)
+    reject = (per_coord > 1).any(axis=1)
+    moved = np.where(reject[:, None], 0, per_coord)
+    assert 0 < reject.sum() < m and tel.rejected_steps == reject.sum()
+    assert np.array_equal(samples, moved[:, 0] + 2 * moved[:, 1])
 
 
 # euler
 
 
 def test_euler_zero_rates_stays():
-    rng = np.random.default_rng(6)
-    y, _ = euler_step(2, IntensityMap({}), 1.0, rng)
-    assert y == 2
+    samples, _ = _sample(ConstantRates([[0.0, 0.0]]), "euler", 1.0, 1000, seed=6)
+    assert np.all(samples == 0)
 
 
 def test_euler_jump_probability():
-    rng = np.random.default_rng(7)
     n = 100_000
-    jumps = sum(euler_step(0, IntensityMap({1: 0.25}), 1.0, rng)[0] for _ in range(n))
+    samples, _ = _sample(ConstantRates([[0.0, 0.25]]), "euler", 1.0, n, seed=7)
     se = np.sqrt(0.25 * 0.75 / n)
-    assert abs(jumps / n - 0.25) < 4 * se
+    assert abs((samples == 1).mean() - 0.25) < 4 * se
 
 
 def test_euler_step_too_large():
-    rng = np.random.default_rng(8)
     with pytest.raises(StepSizeError):
-        euler_step(0, IntensityMap({1: 2.0}), 1.0, rng)
+        _sample(ConstantRates([[0.0, 2.0]]), "euler", 1.0, 100, seed=8)
 
 
 def test_euler_vs_tau_leap_total_variation_is_second_order():
@@ -193,59 +151,45 @@ def test_euler_vs_tau_leap_total_variation_is_second_order():
     # empirical frequencies.
     lam = 0.2
     n = 200_000
-    rng = np.random.default_rng(9)
-    tau_jumps = sum(
-        tau_leaping_step(0, IntensityMap({1: 1.0}), lam, rng)[0] for _ in range(n)
-    )
-    eul_jumps = sum(euler_step(0, IntensityMap({1: 1.0}), lam, rng)[0] for _ in range(n))
-    gap = eul_jumps / n - tau_jumps / n
+    model = ConstantRates([[0.0, 1.0]])
+    tau, _ = _sample(model, "tau-leaping", lam, n, seed=9)
+    eul, _ = _sample(model, "euler", lam, n, seed=10)
+    gap = (eul == 1).mean() - (tau == 1).mean()
     expected_gap = lam * (1 - np.exp(-lam))  # = lam^2 + O(lam^3)
     se = np.sqrt(2 * lam / n)
     assert abs(gap - expected_gap) < 4 * se
     assert expected_gap < lam**2 * 1.1
 
 
-# two-stage steps
+# two-stage schemes
 
 
 def test_two_stage_zero_intensity_is_identity():
-    grid = make_time_grid(1.0, 0.0, 4, 0.5)
-    oracle = ConstantOracle({})
-    rng = np.random.default_rng(10)
-    for step in (theta_rk2_step, theta_trapezoidal_step):
-        y, tel = step(7, 0, grid, oracle, rng=rng)
-        assert y == 7
-        assert tel.nfe == 2
+    m = 100
+    for method in ("theta-rk2", "theta-trapezoidal"):
+        samples, tel = _sample(ConstantRates([[0.0, 0.0]]), method, 1.0, m, n_steps=4, seed=10)
+        assert np.all(samples == 0)
+        assert tel.nfe == 2 * 4 * m  # two intensity evaluations per interval
 
 
 def test_rk2_half_theta_uses_intermediate_intensity_only():
     # with theta=1/2 the stage-2 weights are (0, 1); a jump whose rate
-    # vanishes at the section point can never fire in stage 2
-    class Vanishing:
-        def rates(self, s, y):
-            return IntensityMap({1: 2.0 if s < 0.25 else 0.0})
-
-    grid = make_time_grid(1.0, 0.0, 2, 0.5)
-    rng = np.random.default_rng(11)
-    outcomes = set()
-    for _ in range(200):
-        y, _ = theta_rk2_step(0, 0, grid, Vanishing(), rng=rng)
-        outcomes.add(y)
-    assert outcomes == {0}  # stage 2 weight on mu_{s_n} is zero; mu* is zero
+    # vanishes at the section point can never fire in stage 2, although
+    # stage 1 draws it
+    model = SwitchedRates([[0.0, 2.0]], switch=0.25)
+    samples, tel = _sample(model, "theta-rk2", 1.0, 200, n_steps=2, seed=11)
+    assert tel.drawn_jumps > 0
+    assert np.all(samples == 0)
 
 
-def test_trapezoidal_constant_intensity_total_counts_poisson():
+def test_trapezoidal_constant_intensity_total_counts_poisson(monkeypatch):
     # alpha1 - alpha2 = 1 makes the two-stage draw Poisson(mu * dt) overall
     mu, dt, theta = 0.8, 1.0, 0.3
-    grid = make_time_grid(dt, 0.0, 1, theta)
-    oracle = ConstantOracle({1: mu})
-    space = StateSpaceSpec(d=1, S=1000, periodic=True)
-    rng = np.random.default_rng(12)
     n = 30_000
-    counts = np.zeros(n, dtype=int)
-    for i in range(n):
-        _, tel = theta_trapezoidal_step(0, 0, grid, oracle, rng=rng, space=space)
-        counts[i] = tel.drawn_jumps
+    draws = record_poisson(monkeypatch)
+    _, tel = _sample(ConstantRates([[mu]]), "theta-trapezoidal", dt, n, theta=theta, seed=12)
+    counts = drawn_per_trajectory(draws)
+    assert counts.size == n and counts.sum() == tel.drawn_jumps
     lam = mu * dt
     mean, var = counts.mean(), counts.var()
     assert abs(mean - lam) < 4 * np.sqrt(lam / n)
@@ -253,39 +197,25 @@ def test_trapezoidal_constant_intensity_total_counts_poisson():
 
 
 def test_trapezoidal_rejects_theta_one():
-    grid = make_time_grid(1.0, 0.0, 2, 1.0)
     with pytest.raises(ConfigError):
-        theta_trapezoidal_step(0, 0, grid, ConstantOracle({1: 0.5}), rng=np.random.default_rng(0))
+        _sample(ConstantRates([[0.0, 0.5]]), "theta-trapezoidal", 1.0, 10, n_steps=2, theta=1.0)
 
 
 def test_negative_intensity_clamping_and_telemetry():
-    # stage-1 rate large, section-point rate zero: trapezoidal extrapolation
-    # alpha1*0 - alpha2*mu is negative and must be clamped, not drawn
-    class Decaying:
-        def rates(self, s, y):
-            return IntensityMap({1: 1.0 if s < 0.1 else 0.0})
-
-    grid = make_time_grid(1.0, 0.0, 2, 0.5)
-    rng = np.random.default_rng(13)
-    saw_negative = False
-    for _ in range(100):
-        y, tel = theta_trapezoidal_step(0, 0, grid, Decaying(), rng=rng)
-        saw_negative |= tel.negative_intensity_events > 0
-        assert tel.total_intensity_terms >= tel.negative_intensity_events
-    assert saw_negative
+    # stage-1 rate positive, section-point rate zero: the trapezoidal
+    # extrapolation alpha1*0 - alpha2*mu is negative on every row of the
+    # first interval and must be clamped, not drawn; the second interval has
+    # no rate at either stage and adds no terms
+    m = 100
+    model = SwitchedRates([[0.0, 1.0]], switch=0.1)
+    _, tel = _sample(model, "theta-trapezoidal", 1.0, m, n_steps=2, seed=13)
+    assert tel.negative_intensity_events == tel.total_intensity_terms == m
 
 
 def test_error_on_negative_policy_raises():
-    class Decaying:
-        def rates(self, s, y):
-            return IntensityMap({1: 1.0 if s < 0.1 else 0.0})
-
-    grid = make_time_grid(1.0, 0.0, 2, 0.5)
+    model = SwitchedRates([[0.0, 1.0]], switch=0.1)
     with pytest.raises(NumericalError):
-        for _ in range(100):
-            theta_trapezoidal_step(
-                0, 0, grid, Decaying(), clamp=ERROR_ON_NEGATIVE, rng=np.random.default_rng(14)
-            )
+        _sample(model, "theta-trapezoidal", 1.0, 100, n_steps=2, seed=14, clamp_policy=ERROR_ON_NEGATIVE)
 
 
 def test_solver_config_validation_and_warning():
@@ -303,35 +233,23 @@ def test_solver_config_validation_and_warning():
 
 def test_uniformization_two_state_matches_analytic_marginal():
     a, b = 0.3, 0.7
-    oracle = TwoStateOracle(a, b)
-    rng = np.random.default_rng(15)
     n = 100_000
-    firsts = 0
-    for _ in range(n):
-        y, _ = uniformization_sample(oracle, (0.0, 1.0), 0, rng)
-        firsts += y == 0
+    samples, _, _ = _sample(TwoState(a, b), "uniformization", 1.0, n, seed=15)
     want = two_state_marginal(1.0, a, b, 1.0)[0]
     se = np.sqrt(want * (1 - want) / n)
-    assert abs(firsts / n - want) < 3 * se
+    assert abs((samples == 0).mean() - want) < 3 * se
 
 
 def test_uniformization_candidate_count_mean():
-    lam = 2.0
-    oracle = ConstantOracle({1: lam}, bound=lam)
-    space = StateSpaceSpec(d=1, S=10**6, periodic=True)
-    rng = np.random.default_rng(16)
-    n = 20_000
-    nfe = jumps = 0
-    for _ in range(n):
-        y, tel = uniformization_sample(oracle, (0.0, 1.5), 0, rng, space=space)
-        nfe += tel.nfe
-        jumps += y
-    assert abs(nfe / n - lam * 1.5) < 4 * np.sqrt(lam * 1.5 / n)
-    assert abs(jumps / n - lam * 1.5) < 4 * np.sqrt(lam * 1.5 / n)
+    # the bound equals the total rate, so every candidate is a jump
+    lam, n = 2.0, 20_000
+    _, tel, nfe = _sample(ConstantRates([[0.0, lam]], bound=lam), "uniformization", 1.5, n, seed=16)
+    assert tel.nfe == nfe.sum()
+    assert abs(nfe.mean() - lam * 1.5) < 4 * np.sqrt(lam * 1.5 / n)
+    assert abs(tel.drawn_jumps / n - lam * 1.5) < 4 * np.sqrt(lam * 1.5 / n)
 
 
 def test_uniformization_bound_violation_raises():
-    oracle = ConstantOracle({1: 2.0}, bound=1.0)  # declared bound is a lie
+    model = ConstantRates([[0.0, 2.0]], bound=1.0)  # declared bound is a lie
     with pytest.raises(BoundViolationError):
-        for _ in range(50):
-            uniformization_sample(oracle, (0.0, 1.0), 0, np.random.default_rng(17))
+        _sample(model, "uniformization", 1.0, 50, seed=17)
