@@ -20,7 +20,6 @@ from .errors import ConfigError, NumericalError
 
 # Default tolerances; every public function accepts an override.
 NORMALIZATION_ATOL = 1e-12
-CROSSCHECK_ATOL = 1e-10
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -19,6 +19,15 @@ Batch models implement:
   - ``encode(states)``: canonical integer label per trajectory
   - optionally ``total_bound(s_lo, s_hi)`` (uniformization) and
     ``finalize_batch(states, rng, telemetry)``
+
+Uniformization thins a dominating Poisson clock window by window.  Its
+substream first draws one candidate count per trajectory, Poisson(bound x
+window length); that count is the trajectory's NFE in the window.  Each
+round then takes every trajectory that still has candidates to its next
+candidate time, drawn as the next uniform order statistic, and accepts the
+jump with one uniform against total rate / bound.  Rounds run over a
+compacted array of the still-active rows, so the work scales with the
+candidates drawn (the NFE), not with trajectories x the largest count.
 """
 
 from __future__ import annotations
@@ -63,7 +72,7 @@ def _leap_batch(model, states, rates, dt, rng, tel: StepTelemetry):
         raise NumericalError("negative or NaN rate reached the Poisson draw; clamping failed upstream")
     counts = rng.poisson(lam)
     c3 = counts.reshape(m, model.n_coords, model.slots_per_coord)
-    per_coord = c3.sum(axis=2)
+    per_coord = np.einsum("mcs->mc", c3)
     reject = (per_coord > 1).any(axis=1)
     tel.attempted_updates += m
     tel.rejected_steps += int(reject.sum())
@@ -102,23 +111,26 @@ def _euler_batch(model, states, rates, dt, rng, tel: StepTelemetry):
 def _combine_stage2(method, mu0, mustar, theta, clamp, tel: StepTelemetry):
     """Weighted stage-2 intensity array with clamping and positivity counts."""
     if method == "theta-rk2":
-        allowed = mu0 > 0.0
-        combo = (1.0 - 0.5 / theta) * mu0 + (0.5 / theta) * mustar
-        neg = allowed & (combo < 0.0)
-        tel.total_intensity_terms += int(allowed.sum())
-        tel.negative_intensity_events += int(neg.sum())
-        if clamp == ERROR_ON_NEGATIVE and neg.any():
-            raise NumericalError("negative combined intensity in theta-rk2 stage 2")
-        return np.where(allowed, np.maximum(combo, 0.0), 0.0)
-    a1, a2 = alpha_coefficients(theta)
-    considered = (mu0 > 0.0) | (mustar > 0.0)
-    combo = a1 * mustar - a2 * mu0
-    neg = considered & (combo < 0.0)
-    tel.total_intensity_terms += int(considered.sum())
-    tel.negative_intensity_events += int(neg.sum())
-    if clamp == ERROR_ON_NEGATIVE and neg.any():
-        raise NumericalError("negative extrapolated intensity in theta-trapezoidal stage 2")
-    return np.maximum(combo, 0.0)
+        considered = mu0 > 0.0
+        combo = (1.0 - 0.5 / theta) * mu0
+        combo += (0.5 / theta) * mustar
+        combo[~considered] = 0.0
+        what = "combined intensity in theta-rk2"
+    else:
+        a1, a2 = alpha_coefficients(theta)
+        considered = mu0 > 0.0
+        considered |= mustar > 0.0
+        combo = a1 * mustar
+        combo -= a2 * mu0
+        what = "extrapolated intensity in theta-trapezoidal"
+    neg = combo < 0.0
+    neg &= considered
+    n_neg = np.count_nonzero(neg)
+    tel.total_intensity_terms += np.count_nonzero(considered)
+    tel.negative_intensity_events += n_neg
+    if clamp == ERROR_ON_NEGATIVE and n_neg:
+        raise NumericalError(f"negative {what} stage 2")
+    return np.maximum(combo, 0.0, out=combo)
 
 
 def _step_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: StepTelemetry):
@@ -150,10 +162,12 @@ def _step_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: StepTe
 
 
 def _uniformize_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: StepTelemetry):
+    """Exact simulation by thinning; the draw layout is in the module docstring."""
     grid = config.grid
     m = states.shape[0]
     nfe_per = np.zeros(m, dtype=np.int64)
     spc = model.slots_per_coord
+    ones = np.ones(model.n_coords * spc)
     for w in range(grid.n_intervals):
         s_lo, s_hi = float(grid.points[w]), float(grid.points[w + 1])
         bound = float(model.total_bound(s_lo, s_hi))
@@ -162,31 +176,31 @@ def _uniformize_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: 
         rng = substream(config.seed, TAG_UNIF, chunk_idx, w)
         n_cand = rng.poisson(bound * (s_hi - s_lo), size=m)
         nfe_per += n_cand
-        max_k = int(n_cand.max()) if m else 0
-        if max_k == 0:
-            continue
-        times = rng.random((m, max_k))
-        times[np.arange(max_k)[None, :] >= n_cand[:, None]] = np.inf
-        times.sort(axis=1)
-        times = s_lo + (s_hi - s_lo) * times
-        states = states.copy()
-        for j in range(max_k):
-            rows = np.nonzero(n_cand > j)[0]
-            r = model.rates_batch(times[rows, j], states[rows])
-            totals = r.sum(axis=1)
+        rows = np.flatnonzero(n_cand)
+        left = n_cand[rows]
+        t = np.full(rows.size, s_lo)
+        while rows.size:
+            v_time, v_acc = rng.random((2, rows.size))
+            # the smallest of ``left`` uniform times on (t, s_hi]
+            t += (s_hi - t) * (1.0 - v_time ** (1.0 / left))
+            r = model.rates_batch(t, states[rows])
+            totals = r @ ones
             worst = totals.max()
             if worst > bound * (1.0 + BOUND_RTOL):
                 raise BoundViolationError(
                     f"total intensity {worst:.6g} exceeds declared bound {bound:.6g} "
                     f"in window ({s_lo:.6g}, {s_hi:.6g}]"
                 )
-            u = rng.random(rows.size) * bound
+            u = v_acc * bound
             hit = u < totals
             if hit.any():
                 cum = np.cumsum(r[hit], axis=1)
                 idx = (u[hit, None] < cum).argmax(axis=1)
                 model.apply(states, rows[hit], idx // spc, idx % spc)
-                tel.drawn_jumps += int(hit.sum())
+                tel.drawn_jumps += np.count_nonzero(hit)
+            left -= 1
+            keep = left > 0
+            rows, left, t = rows[keep], left[keep], t[keep]
     tel.nfe += int(nfe_per.sum())
     return states, nfe_per
 

@@ -68,9 +68,11 @@ class ToyUniformModel:
                 )
             r = pt[None, :] / (self.S * pt[states, None])
         else:
-            pt = (1.0 - decay[:, None]) / self.S + decay[:, None] * self.p0.probs[None, :]
-            own = pt[np.arange(states.size), states]
-            r = pt / (self.S * own[:, None])
+            # rank 2: r[i, v] = (base_i + decay_i p0[v]) / (S pt_i(y_i))
+            base = (1.0 - decay) / self.S
+            inv_own = 1.0 / (self.S * (base + decay * self.p0.probs[states]))
+            coef = np.stack([base * inv_own, decay * inv_own], axis=1)
+            r = coef @ np.stack([np.ones(self.S), self.p0.probs])
         r[np.arange(states.size), states] = 0.0
         return r
 
@@ -110,7 +112,8 @@ class MaskedToyModel:
             raise ConfigError("state space too large for the dense conditional cache")
         self._ctx_pow = (self.S + 1) ** np.arange(self.d, dtype=np.int64)
         self._enc_pow = self.S ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        self._cond = np.zeros((n_ctx, self.d, self.S))
+        # per context: the conditional on MASK positions, 0 on observed ones
+        self._rows = np.zeros((n_ctx, self.d * self.S))
         self._have = np.zeros(n_ctx, dtype=bool)
 
     def _coef(self, s):
@@ -134,8 +137,8 @@ class MaskedToyModel:
             for l in range(self.d):
                 tokens[l] = rest % (self.S + 1)
                 rest //= self.S + 1
-            seq = TokenSequence(tokens, self.S)
-            self._cond[code] = self.oracle.conditional_probs(seq)
+            cond = self.oracle.conditional_probs(TokenSequence(tokens, self.S))
+            self._rows[code] = (cond * (tokens == self.S)[:, None]).ravel()
             self._have[code] = True
 
     def total_bound(self, s_lo: float, s_hi: float) -> float:
@@ -148,14 +151,11 @@ class MaskedToyModel:
         return np.full((m, self.d), self.mask_token, dtype=self._dtype)
 
     def rates_batch(self, s, states: np.ndarray) -> np.ndarray:
-        m = states.shape[0]
         codes = states.astype(np.int64) @ self._ctx_pow
         self._ensure_codes(codes)
-        cond = self._cond[codes]
         coef = self._coef(s)
-        coef = coef[:, None, None] if np.ndim(coef) else float(coef)
-        r = coef * cond * (states == self.mask_token)[:, :, None]
-        return r.reshape(m, self.d * self.S)
+        coef = coef[:, None] if np.ndim(coef) else float(coef)
+        return coef * self._rows[codes]
 
     def apply(self, states, rows, coords, vals):
         states[rows, coords] = vals
@@ -171,7 +171,7 @@ class MaskedToyModel:
             first = masked[rows].argmax(axis=1)
             codes = states[rows].astype(np.int64) @ self._ctx_pow
             self._ensure_codes(codes)
-            cond = self._cond[codes, first, :]
+            cond = self._rows.reshape(-1, self.d, self.S)[codes, first, :]
             tel.final_fill_evals += int(rows.size)
             cum = np.cumsum(cond, axis=1)
             u = rng.random(rows.size)

@@ -23,6 +23,8 @@ from thetaleap.solvers import SolverConfig, make_time_grid, run_sampler
 
 from tiny_models import ConstantRates, drawn_per_trajectory, record_poisson
 
+pytestmark = pytest.mark.acceptance
+
 WORKERS = str(min(8, os.cpu_count() or 1))
 TOY_M = 10**6
 MASKED_M = 2 * 10**5

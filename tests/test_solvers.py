@@ -4,6 +4,7 @@ pinned per-trajectory behaviour of every scheme, checked through
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from thetaleap import engine
 from thetaleap.errors import BoundViolationError, ConfigError, NumericalError, StepSizeError
@@ -16,7 +17,14 @@ from thetaleap.solvers import (
 )
 
 from kernel_oracle import two_state_marginal
-from tiny_models import ConstantRates, SwitchedRates, TwoState, drawn_per_trajectory, record_poisson
+from tiny_models import (
+    ConstantRates,
+    RecordingSwitched,
+    SwitchedRates,
+    TwoState,
+    drawn_per_trajectory,
+    record_poisson,
+)
 
 
 def _sample(model, method, horizon, m, n_steps=1, theta=0.5, seed=0, **kwargs):
@@ -232,12 +240,13 @@ def test_solver_config_validation_and_warning():
 
 
 def test_uniformization_two_state_matches_analytic_marginal():
+    # 4 SE on 180k trajectories: an absolute bar of 0.0037, false alarms 6e-5
     a, b = 0.3, 0.7
-    n = 100_000
+    n = 180_000
     samples, _, _ = _sample(TwoState(a, b), "uniformization", 1.0, n, seed=15)
     want = two_state_marginal(1.0, a, b, 1.0)[0]
     se = np.sqrt(want * (1 - want) / n)
-    assert abs((samples == 0).mean() - want) < 3 * se
+    assert abs((samples == 0).mean() - want) < 4 * se
 
 
 def test_uniformization_candidate_count_mean():
@@ -247,6 +256,29 @@ def test_uniformization_candidate_count_mean():
     assert tel.nfe == nfe.sum()
     assert abs(nfe.mean() - lam * 1.5) < 4 * np.sqrt(lam * 1.5 / n)
     assert abs(tel.drawn_jumps / n - lam * 1.5) < 4 * np.sqrt(lam * 1.5 / n)
+
+
+def test_uniformization_candidate_times_are_sorted_uniforms():
+    # every rate evaluation is recorded with its trajectory id: each
+    # trajectory's candidates come in increasing time, one per counted
+    # evaluation, and pooled over trajectories they are uniform in each
+    # window; the terminal law is the exact one of the switched chain
+    lam, switch, windows, n = 2.0, 0.6, 4, 20_000
+    model = RecordingSwitched(lam, switch)
+    samples, tel, nfe = _sample(model, "uniformization", 1.0, n, n_steps=windows, seed=18)
+    ids = np.concatenate([c[0] for c in model.calls])
+    times = np.concatenate([c[1] for c in model.calls])
+    order = np.argsort(ids, kind="stable")  # keeps each trajectory's call order
+    ids, times = ids[order], times[order]
+    assert np.array_equal(np.bincount(ids, minlength=n), nfe) and tel.nfe == ids.size
+    assert np.all(np.diff(times)[ids[1:] == ids[:-1]] > 0.0)
+    edges = make_time_grid(1.0, 0.0, windows, 0.5).points
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        inside = times[(times > lo) & (times <= hi)]
+        assert stats.kstest(inside, "uniform", args=(lo, hi - lo)).pvalue > 1e-3
+    want = 1.0 - np.exp(-lam * switch)
+    se = np.sqrt(want * (1 - want) / n)
+    assert abs(samples.mean() - want) < 4 * se
 
 
 def test_uniformization_bound_violation_raises():

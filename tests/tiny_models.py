@@ -37,14 +37,42 @@ class ConstantRates:
 
 
 class SwitchedRates(ConstantRates):
-    """The given rates before reverse time ``switch``, zero from then on (stepping only)."""
+    """The given rates before reverse time ``switch``, zero from then on."""
 
     def __init__(self, rates, switch):
         super().__init__(rates)
         self.switch = switch
 
     def rates_batch(self, s, states):
-        return super().rates_batch(s, states) * (s < self.switch)
+        return super().rates_batch(s, states) * (np.asarray(s) < self.switch)[..., None]
+
+
+class RecordingSwitched(SwitchedRates):
+    """Coordinate 0 jumps 0 -> 1 at rate ``lam`` before ``switch``; coordinate 1
+    holds the trajectory id and carries no rate.  ``calls`` keeps the
+    (trajectory ids, evaluation times) of every rate evaluation.  Ids count up
+    across chunks, so they match the engine's per-trajectory order when the
+    chunks run in one process.
+    """
+
+    def __init__(self, lam, switch):
+        super().__init__([[0.0, lam], [0.0, 0.0]], switch)
+        self.calls = []
+        self._next_id = 0
+
+    def sample_q0_batch(self, rng, m):
+        states = super().sample_q0_batch(rng, m)
+        states[:, 1] = np.arange(self._next_id, self._next_id + m)
+        self._next_id += m
+        return states
+
+    def rates_batch(self, s, states):
+        times = np.broadcast_to(np.asarray(s, dtype=float), states.shape[:1])
+        self.calls.append((states[:, 1].copy(), times.copy()))
+        return super().rates_batch(s, states)
+
+    def encode(self, states):
+        return states[:, 0].copy()
 
 
 class TwoState(ConstantRates):
