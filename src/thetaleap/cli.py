@@ -20,7 +20,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,7 +29,13 @@ from .ctmc import ProbabilityVector
 from .engine import substream
 from .errors import ConfigError, DataError, NumericalError, ThetaLeapError
 from .masked import NoiseSchedule, TargetTable, load_target_table, random_target_table
-from .metrics import bootstrap_kl_ci, empirical_distribution, fit_loglog_slope, noise_floor
+from .metrics import (
+    ConvergenceFit,
+    bootstrap_kl_ci,
+    empirical_distribution,
+    fit_loglog_slope,
+    noise_floor,
+)
 from .models import MaskedToyModel, ToyUniformModel, sample_simplex
 from .solvers import SolverConfig, make_time_grid, run_sampler
 
@@ -41,11 +48,11 @@ MASKED_VOCAB = 4
 TAG_BOOT = 101
 TAG_TARGET = 102
 
-CSV_HEADER = "method,theta,steps,nfe,kl,ci_lo,ci_hi,positivity_frac,rejection_frac,wall_ms,seed"
-
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One sweep cell; the field order is the CSV column order."""
+
     method: str
     theta: float
     steps: int
@@ -59,63 +66,77 @@ class ResultRow:
     seed: int
 
 
+def _setting(cast, help: str, *, listed: bool = False, default=MISSING):
+    """Declare one study setting: a config field, a --flag and a --config key of one name.
+
+    ``cast`` turns one command-line or file string into the value; a ``listed``
+    setting takes a comma list of such strings.
+    """
+    return field(default=default, metadata={"cast": cast, "listed": listed, "help": help})
+
+
 @dataclass
 class ExperimentConfig:
-    model: str
-    methods: list
-    thetas: list
-    steps: list
-    samples: int
-    seed: int
-    horizon: float
-    delta: float
-    target_file: str | None
-    out: str
-    fmt: str
-    workers: int
-    bootstrap: int
-    ci_level: float
-    min_fit_steps: int
-    p0_seed: int | None
+    """Every study setting; DEFAULTS supplies the fields without a default per subcommand."""
+
+    method: list = _setting(str, "comma list of methods", listed=True)
+    theta: list = _setting(float, "comma list of theta values", listed=True)
+    steps: list = _setting(int, "comma list of step counts", listed=True)
+    samples: int = _setting(int, "trajectories per cell")
+    horizon: float = _setting(float, "diffusion horizon T")
+    delta: float = _setting(float, "early stop: sample up to reverse time T - delta")
+    seed: int = _setting(int, "sampling and bootstrap seed", default=0)
+    target_file: str | None = _setting(str, "target table file (see README)", default=None)
+    out: str = _setting(str, "output path, '-' for stdout", default="-")
+    format: str = _setting(str, "csv or json", default="csv")
+    workers: int = _setting(int, f"worker processes (default ${WORKERS_ENV} or 1)", default=1)
+    bootstrap: int = _setting(int, "bootstrap resample count", default=1000)
+    ci_level: float = _setting(float, "bootstrap confidence level", default=0.95)
+    min_fit_steps: int = _setting(int, "smallest step count in the order fit", default=16)
+    p0_seed: int | None = _setting(int, "seed of the random target (default: --seed)", default=None)
 
     def __post_init__(self):
         if not self.steps or any(b <= a for a, b in zip(self.steps, self.steps[1:])):
             raise ConfigError("steps list must be nonempty and strictly increasing")
         if self.samples < 1:
             raise ConfigError(f"need at least one sample, got {self.samples}")
-        if any(not (0.0 < th <= 1.0) for th in self.thetas):
-            raise ConfigError(f"theta values must lie in (0, 1], got {self.thetas}")
+        if any(not (0.0 < th <= 1.0) for th in self.theta):
+            raise ConfigError(f"theta values must lie in (0, 1], got {self.theta}")
         if not (0.0 < self.ci_level < 1.0):
             raise ConfigError(f"ci level must lie in (0, 1), got {self.ci_level}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+        if self.bootstrap < 2:
+            raise ConfigError(f"bootstrap needs at least 2 resamples, got {self.bootstrap}")
+        # SeedSequence rejects negative entropy
+        if self.seed < 0 or (self.p0_seed is not None and self.p0_seed < 0):
+            raise ConfigError(f"seeds must be >= 0, got seed={self.seed}, p0_seed={self.p0_seed}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format!r}")
 
+
+_SETTINGS = {f.name: f.metadata for f in fields(ExperimentConfig)}
 
 DEFAULTS = {
     "toy-converge": dict(
-        model="toy-uniform",
-        methods=["tau-leaping", "theta-rk2", "theta-trapezoidal"],
-        thetas=[0.5],
+        method=["tau-leaping", "theta-rk2", "theta-trapezoidal"],
+        theta=[0.5],
         steps=[4, 8, 16, 32, 64, 128],
         samples=10**6,
         horizon=12.0,
         delta=0.0,
     ),
     "masked-converge": dict(
-        model="masked-toy",
-        methods=["tau-leaping", "theta-trapezoidal"],
-        thetas=[0.5],
+        method=["tau-leaping", "theta-trapezoidal"],
+        theta=[0.5],
         steps=[16, 32, 64, 512],
         samples=2 * 10**5,
         horizon=1.0,
         delta=1e-3,
     ),
     "exact-check": dict(
-        model="toy-uniform",
-        methods=["uniformization"],
-        thetas=[0.5],
+        method=["uniformization"],
+        theta=[0.5],
         steps=[64],
         samples=10**6,
         horizon=12.0,
@@ -128,70 +149,44 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _fmt_float(x: float) -> str:
+def _json_float(x) -> str:
     if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(float(x), ".17g")
+        return "Infinity" if x > 0 else "-Infinity"
+    if math.isnan(x):
+        return "NaN"
+    return format(x, ".17g")
 
 
-def _fmt_json_number(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        if math.isnan(x):
-            return "NaN"
-        return format(x, ".17g")
-    return str(x)
+# One formatter per value kind; floats carry 17 significant digits, and a CSV
+# cell reads back through the kind itself.
+_CSV_CELL = {str: str, int: str, float: lambda x: format(float(x), ".17g")}
+_JSON_VALUE = {str: json.dumps, int: str, float: _json_float}
+_ROW_KINDS = get_type_hints(ResultRow)
+_KINDS = {**_ROW_KINDS, **get_type_hints(ConvergenceFit)}
+CSV_HEADER = ",".join(_ROW_KINDS)
+
+
+def _json_object(values: dict) -> str:
+    parts = [f"{json.dumps(k)}: {_JSON_VALUE[_KINDS[k]](v)}" for k, v in values.items()]
+    return "{" + ", ".join(parts) + "}"
 
 
 def emit_results(rows, path, fmt: str = "csv", fits=None) -> None:
-    """Serialize result rows (and optional fits) with 17 significant digits."""
+    """Serialize result rows (and optional fits) with 17 significant digits.
+
+    ``fits`` holds ``((method, theta), ConvergenceFit)`` pairs; JSON names each
+    fit by the result columns it summarizes.
+    """
     if fmt == "csv":
         lines = [CSV_HEADER]
         for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        r.method,
-                        _fmt_float(r.theta),
-                        str(r.steps),
-                        _fmt_float(r.nfe),
-                        _fmt_float(r.kl),
-                        _fmt_float(r.ci_lo),
-                        _fmt_float(r.ci_hi),
-                        _fmt_float(r.positivity_frac),
-                        _fmt_float(r.rejection_frac),
-                        _fmt_float(r.wall_ms),
-                        str(r.seed),
-                    ]
-                )
-            )
+            lines.append(",".join(_CSV_CELL[_KINDS[k]](v) for k, v in asdict(r).items()))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        row_objs = []
-        for r in rows:
-            parts = []
-            for f in fields(ResultRow):
-                v = getattr(r, f.name)
-                val = json.dumps(v) if isinstance(v, str) else _fmt_json_number(v)
-                parts.append(f"{json.dumps(f.name)}: {val}")
-            row_objs.append("{" + ", ".join(parts) + "}")
-        fit_objs = []
-        for key, fit in fits or []:
-            fit_objs.append(
-                "{"
-                + ", ".join(
-                    [
-                        f'"method": {json.dumps(key[0])}',
-                        f'"theta": {_fmt_json_number(key[1])}',
-                        f'"slope": {_fmt_json_number(fit.slope)}',
-                        f'"intercept": {_fmt_json_number(fit.intercept)}',
-                        f'"r_squared": {_fmt_json_number(fit.r_squared)}',
-                        f'"n_points": {fit.n_points}',
-                    ]
-                )
-                + "}"
-            )
+        row_objs = [_json_object(asdict(r)) for r in rows]
+        fit_objs = [
+            _json_object({**dict(zip(_ROW_KINDS, key)), **asdict(fit)}) for key, fit in fits or []
+        ]
         text = (
             '{"rows": [' + ", ".join(row_objs) + '], "fits": [' + ", ".join(fit_objs) + "]}\n"
         )
@@ -208,32 +203,17 @@ def parse_results(path) -> list:
     """Read back rows emitted by :func:`emit_results` (either format)."""
     with open(path) as fh:
         text = fh.read()
-    rows = []
     if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        for obj in payload["rows"]:
-            rows.append(ResultRow(**obj))
-        return rows
+        return [ResultRow(**obj) for obj in json.loads(text)["rows"]]
     lines = [ln for ln in text.splitlines() if ln]
     if lines[0] != CSV_HEADER:
         raise DataError("unrecognized results header")
+    rows = []
     for ln in lines[1:]:
-        f = ln.split(",")
-        rows.append(
-            ResultRow(
-                method=f[0],
-                theta=float(f[1]),
-                steps=int(f[2]),
-                nfe=float(f[3]),
-                kl=float(f[4]),
-                ci_lo=float(f[5]),
-                ci_hi=float(f[6]),
-                positivity_frac=float(f[7]),
-                rejection_frac=float(f[8]),
-                wall_ms=float(f[9]),
-                seed=int(f[10]),
-            )
-        )
+        cells = ln.split(",")
+        if len(cells) != len(_ROW_KINDS):
+            raise DataError(f"expected {len(_ROW_KINDS)} columns, got {ln!r}")
+        rows.append(ResultRow(*(kind(c) for kind, c in zip(_ROW_KINDS.values(), cells))))
     return rows
 
 
@@ -253,51 +233,58 @@ def _masked_target(config: ExperimentConfig) -> TargetTable:
 
 
 def _sweep(config: ExperimentConfig, model, target: ProbabilityVector, n_states: int):
-    """Run the (method, theta, steps) product and collect rows plus fits."""
+    """Run the (method, theta, steps) product and collect rows plus fits.
+
+    Every cell's grid and solver config is built before the first cell runs,
+    so a bad method name or theta fails before any sampling.
+    """
+    cells = [
+        SolverConfig(
+            method, make_time_grid(config.horizon, config.delta, n_steps, theta), config.seed
+        )
+        for method in config.method
+        for theta in config.theta
+        for n_steps in config.steps
+    ]
     rows = []
-    cell = 0
-    for method in config.methods:
-        for theta in config.thetas:
-            for n_steps in config.steps:
-                t0 = time.monotonic()
-                grid = make_time_grid(config.horizon, config.delta, n_steps, theta)
-                scfg = SolverConfig(method, grid, config.seed)
-                samples, tel, nfe = run_sampler(
-                    scfg, model, config.samples, workers=config.workers, collect_nfe=True
-                )
-                emp = empirical_distribution(samples, n_states)
-                report = bootstrap_kl_ci(
-                    emp,
-                    target,
-                    n_resamples=config.bootstrap,
-                    level=config.ci_level,
-                    rng=substream(config.seed, TAG_BOOT, cell),
-                )
-                wall_ms = (time.monotonic() - t0) * 1e3
-                rows.append(
-                    ResultRow(
-                        method=method,
-                        theta=theta,
-                        steps=n_steps,
-                        nfe=tel.nfe / config.samples,
-                        kl=report.estimate,
-                        ci_lo=report.ci_lo,
-                        ci_hi=report.ci_hi,
-                        positivity_frac=tel.positivity_fraction,
-                        rejection_frac=tel.rejection_fraction,
-                        wall_ms=wall_ms,
-                        seed=config.seed,
-                    )
-                )
-                _info(
-                    f"{method} theta={theta} N={n_steps}: kl={report.estimate:.4e} "
-                    f"[{report.ci_lo:.4e}, {report.ci_hi:.4e}] "
-                    f"pos={tel.positivity_fraction:.4f} rej={tel.rejection_fraction:.2e} "
-                    f"({wall_ms:.0f} ms)"
-                )
-                if nfe is not None:
-                    _info(f"  nfe mean={nfe.mean():.2f} p95={np.percentile(nfe, 95):.1f}")
-                cell += 1
+    for cell, scfg in enumerate(cells):
+        method, theta, n_steps = scfg.method, scfg.grid.theta, scfg.grid.n_intervals
+        t0 = time.monotonic()
+        samples, tel, nfe = run_sampler(
+            scfg, model, config.samples, workers=config.workers, collect_nfe=True
+        )
+        emp = empirical_distribution(samples, n_states)
+        report = bootstrap_kl_ci(
+            emp,
+            target,
+            n_resamples=config.bootstrap,
+            level=config.ci_level,
+            rng=substream(config.seed, TAG_BOOT, cell),
+        )
+        wall_ms = (time.monotonic() - t0) * 1e3
+        rows.append(
+            ResultRow(
+                method=method,
+                theta=theta,
+                steps=n_steps,
+                nfe=tel.nfe / config.samples,
+                kl=report.estimate,
+                ci_lo=report.ci_lo,
+                ci_hi=report.ci_hi,
+                positivity_frac=tel.positivity_fraction,
+                rejection_frac=tel.rejection_fraction,
+                wall_ms=wall_ms,
+                seed=config.seed,
+            )
+        )
+        _info(
+            f"{method} theta={theta} N={n_steps}: kl={report.estimate:.4e} "
+            f"[{report.ci_lo:.4e}, {report.ci_hi:.4e}] "
+            f"pos={tel.positivity_fraction:.4f} rej={tel.rejection_fraction:.2e} "
+            f"({wall_ms:.0f} ms)"
+        )
+        if nfe is not None:
+            _info(f"  nfe mean={nfe.mean():.2f} p95={np.percentile(nfe, 95):.1f}")
     fits = _fit_rows(config, rows, n_states)
     return rows, fits
 
@@ -311,8 +298,8 @@ def _fit_rows(config: ExperimentConfig, rows, n_states: int):
     """
     floor = noise_floor(config.samples, n_states)
     fits = []
-    for method in config.methods:
-        for theta in config.thetas:
+    for method in config.method:
+        for theta in config.theta:
             pts = [
                 (r.steps, r.kl)
                 for r in rows
@@ -369,63 +356,30 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-_LIST_KEYS = {"method": str, "theta": float, "steps": int}
-_SCALAR_KEYS = {
-    "samples": int,
-    "seed": int,
-    "horizon": float,
-    "delta": float,
-    "target_file": str,
-    "out": str,
-    "format": str,
-    "workers": int,
-    "bootstrap": int,
-    "ci_level": float,
-    "min_fit_steps": int,
-    "p0_seed": int,
-}
-
-
-def _split_list(value: str, cast):
-    return [cast(v) for v in str(value).split(",") if v != ""]
+def _cast(key: str, value):
+    """Turn a flag, file or environment string into the setting's value."""
+    if key not in _SETTINGS:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    if not isinstance(value, str):
+        return value
+    cast, listed = _SETTINGS[key]["cast"], _SETTINGS[key]["listed"]
+    try:
+        return [cast(v) for v in value.split(",") if v != ""] if listed else cast(value)
+    except ValueError as exc:
+        raise ConfigError(f"bad value {value!r} for {key}: {exc}") from None
 
 
 def build_config(command: str, flag_values: dict) -> ExperimentConfig:
-    """Merge subcommand defaults, config-file values, and explicit flags."""
-    base = dict(DEFAULTS[command])
-    merged = {
-        "methods": base["methods"],
-        "thetas": base["thetas"],
-        "steps": base["steps"],
-        "samples": base["samples"],
-        "seed": 0,
-        "horizon": base["horizon"],
-        "delta": base["delta"],
-        "target_file": None,
-        "out": "-",
-        "fmt": "csv",
-        "workers": int(os.environ.get(WORKERS_ENV, "1")),
-        "bootstrap": 1000,
-        "ci_level": 0.95,
-        "min_fit_steps": 16,
-        "p0_seed": None,
-    }
-    sources = []
-    if flag_values.get("config"):
-        sources.append(_read_config_file(flag_values["config"]))
-    sources.append({k: v for k, v in flag_values.items() if k != "config" and v is not None})
-    for src in sources:
-        for key, value in src.items():
-            if key in _LIST_KEYS:
-                dest = {"method": "methods", "theta": "thetas", "steps": "steps"}[key]
-                merged[dest] = _split_list(value, _LIST_KEYS[key]) if isinstance(value, str) else value
-            elif key == "format":
-                merged["fmt"] = str(value)
-            elif key in _SCALAR_KEYS:
-                merged[key] = _SCALAR_KEYS[key](value)
-            else:
-                raise ConfigError(f"unknown configuration key {key!r}")
-    return ExperimentConfig(model=DEFAULTS[command]["model"], **merged)
+    """Merge subcommand defaults, $THETALEAP_WORKERS, config-file values and explicit flags."""
+    flags = {k: v for k, v in flag_values.items() if v is not None}
+    sources = [DEFAULTS[command]]
+    if WORKERS_ENV in os.environ:
+        sources.append({"workers": os.environ[WORKERS_ENV]})
+    if "config" in flags:
+        sources.append(_read_config_file(flags.pop("config")))
+    sources.append(flags)
+    values = {key: _cast(key, value) for src in sources for key, value in src.items()}
+    return ExperimentConfig(**values)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -435,22 +389,9 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key=value config file; flags win", default=None)
-        p.add_argument("--method", help="comma list of methods", default=None)
-        p.add_argument("--theta", help="comma list of theta values", default=None)
-        p.add_argument("--steps", help="comma list of step counts", default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--target-file", dest="target_file", default=None)
-        p.add_argument("--out", default=None, help="output path, '-' for stdout")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--bootstrap", type=int, default=None, help="bootstrap resample count")
-        p.add_argument("--ci-level", dest="ci_level", type=float, default=None)
-        p.add_argument("--min-fit-steps", dest="min_fit_steps", type=int, default=None)
-        p.add_argument("--p0-seed", dest="p0_seed", type=int, default=None)
+        p.add_argument("--config", help="flat key=value config file; flags win")
+        for key, meta in _SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), help=meta["help"])
     return parser
 
 
@@ -460,7 +401,7 @@ def main(argv=None) -> int:
     try:
         config = build_config(args.command, flag_values)
         rows, fits = COMMANDS[args.command](config)
-        emit_results(rows, config.out, config.fmt, fits=fits)
+        emit_results(rows, config.out, config.format, fits=fits)
     except (ConfigError, DataError) as exc:
         _info(f"error: {exc}")
         return 2

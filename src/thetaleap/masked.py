@@ -123,6 +123,13 @@ def save_target_table(table: TargetTable, path) -> None:
             fh.write(f"{idx} {p:.17g}\n")
 
 
+def _parse_field(cast, text: str, line: str):
+    try:
+        return cast(text)
+    except ValueError:
+        raise DataError(f"malformed target-table line {line!r}") from None
+
+
 def load_target_table(path, d: int | None = None, S: int | None = None) -> TargetTable:
     """Read an index/probability table; renormalizes small drift, rejects large."""
     entries = {}
@@ -134,14 +141,14 @@ def load_target_table(path, d: int | None = None, S: int | None = None) -> Targe
             if line.startswith("#"):
                 for part in line[1:].split():
                     if part.startswith("d="):
-                        d = int(part[2:])
+                        d = _parse_field(int, part[2:], line)
                     elif part.startswith("S="):
-                        S = int(part[2:])
+                        S = _parse_field(int, part[2:], line)
                 continue
             fields = line.split()
             if len(fields) != 2:
                 raise DataError(f"expected 'index probability' rows, got {line!r}")
-            entries[int(fields[0])] = float(fields[1])
+            entries[_parse_field(int, fields[0], line)] = _parse_field(float, fields[1], line)
     if d is None or S is None:
         raise DataError("table dimensions unknown; provide d and S or a '# d=.. S=..' header")
     flat = np.zeros(S**d)

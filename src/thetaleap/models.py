@@ -73,7 +73,7 @@ class ToyUniformModel:
             inv_own = 1.0 / (self.S * (base + decay * self.p0.probs[states]))
             coef = np.stack([base * inv_own, decay * inv_own], axis=1)
             r = coef @ np.stack([np.ones(self.S), self.p0.probs])
-        r[np.arange(states.size), states] = 0.0
+        r.reshape(-1)[np.arange(states.size) * self.S + states] = 0.0
         return r
 
     def apply(self, states, rows, coords, vals):

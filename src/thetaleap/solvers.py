@@ -72,9 +72,7 @@ class TimeGrid:
         return float(self.deltas.max())
 
 
-def make_time_grid(
-    T: float, delta: float, N: int, theta: float, schedule: str = "uniform"
-) -> TimeGrid:
+def make_time_grid(T: float, delta: float, N: int, theta: float) -> TimeGrid:
     """Uniform grid over [0, T - delta] with N steps and theta-section points."""
     if not (0.0 <= delta < T):
         raise ConfigError(f"need 0 <= delta < T, got delta={delta}, T={T}")
@@ -82,8 +80,6 @@ def make_time_grid(
         raise ConfigError(f"need at least one step, got N={N}")
     if not (0.0 < theta <= 1.0):
         raise ConfigError(f"theta must lie in (0, 1], got {theta}")
-    if schedule != "uniform":
-        raise ConfigError(f"unknown schedule {schedule!r}")
     return TimeGrid(np.linspace(0.0, T - delta, N + 1), theta, T, delta)
 
 

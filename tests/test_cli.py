@@ -1,12 +1,16 @@
 import json
 import math
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from thetaleap import cli
 from thetaleap.cli import (
     COMMANDS,
     CSV_HEADER,
+    ExperimentConfig,
     ResultRow,
     build_config,
     emit_results,
@@ -60,7 +64,7 @@ def test_build_config_defaults_match_study_parameters():
     assert cfg.samples == 10**6
     assert cfg.steps == [4, 8, 16, 32, 64, 128]
     assert cfg.horizon == 12.0 and cfg.delta == 0.0
-    assert cfg.thetas == [0.5]
+    assert cfg.theta == [0.5]
     assert cfg.bootstrap == 1000 and cfg.ci_level == 0.95
     masked = build_config("masked-converge", {})
     assert masked.delta == 1e-3 and masked.horizon == 1.0
@@ -72,16 +76,69 @@ def test_build_config_flag_and_file_precedence(tmp_path):
     conf.write_text("samples=500\nsteps=2,4\ntheta=0.25\n# comment\nseed=9\n")
     cfg = build_config("toy-converge", {"config": str(conf), "samples": 700})
     assert cfg.samples == 700  # flag wins over file
-    assert cfg.steps == [2, 4] and cfg.thetas == [0.25] and cfg.seed == 9
+    assert cfg.steps == [2, 4] and cfg.theta == [0.25] and cfg.seed == 9
 
 
-def test_build_config_rejects_bad_values():
+def test_build_config_rejects_bad_values(tmp_path, monkeypatch):
+    bad = [
+        {"steps": "8,4"},
+        {"theta": "1.5"},
+        {"samples": "0"},
+        {"theta": "abc"},
+        {"steps": "4,x"},
+        {"seed": "-1"},
+        {"p0_seed": "-1"},
+        {"bootstrap": "1"},
+    ]
+    for flags in bad:
+        with pytest.raises(ConfigError):
+            build_config("toy-converge", flags)
+    conf = tmp_path / "run.conf"
+    conf.write_text("samples=abc\n")
     with pytest.raises(ConfigError):
-        build_config("toy-converge", {"steps": "8,4"})
+        build_config("toy-converge", {"config": str(conf)})
+    monkeypatch.setenv("THETALEAP_WORKERS", "abc")
     with pytest.raises(ConfigError):
-        build_config("toy-converge", {"theta": "1.5"})
-    with pytest.raises(ConfigError):
-        build_config("toy-converge", {"samples": "0"})
+        build_config("toy-converge", {})
+
+
+def test_every_setting_reads_the_same_by_flag_and_by_config_file(tmp_path, monkeypatch):
+    values = {
+        "method": "tau-leaping,theta-rk2",
+        "theta": "0.25,0.5",
+        "steps": "2,4",
+        "samples": "500",
+        "horizon": "3.5",
+        "delta": "0.01",
+        "seed": "9",
+        "target_file": "p0.txt",
+        "out": str(tmp_path / "res.json"),
+        "format": "json",
+        "workers": "2",
+        "bootstrap": "50",
+        "ci_level": "0.9",
+        "min_fit_steps": "4",
+        "p0_seed": "5",
+    }
+    assert set(values) == {f.name for f in fields(ExperimentConfig)}
+    seen = []
+    monkeypatch.setitem(COMMANDS, "toy-converge", lambda config: seen.append(config) or ([], []))
+    argv = ["toy-converge"]
+    lines = []
+    for i, (key, value) in enumerate(values.items()):
+        argv += ["--" + key.replace("_", "-"), value]
+        # file keys may be spelled with '-' or '_'
+        lines.append(f"{key.replace('_', '-') if i % 2 else key}={value}\n")
+    assert main(argv) == 0
+    conf = tmp_path / "run.conf"
+    conf.write_text("".join(lines))
+    assert main(["toy-converge", "--config", str(conf)]) == 0
+    by_flag, by_file = seen
+    assert by_flag == by_file
+    assert by_flag.theta == [0.25, 0.5] and by_flag.steps == [2, 4] and by_flag.p0_seed == 5
+    conf.write_text("bogus=1\n")
+    assert main(["toy-converge", "--config", str(conf)]) == 2
+    assert len(seen) == 2
 
 
 def _run_cli(tmp_path, name, extra):
@@ -142,9 +199,41 @@ def test_cli_exact_check_small_run(tmp_path):
     assert row.nfe > 0 and row.kl < 20 * 14 / (2 * 20000)
 
 
-def test_cli_exit_code_config_error(tmp_path):
-    assert main(["toy-converge", "--samples", "0"]) == 2
-    assert main(["toy-converge", "--steps", "8,4"]) == 2
+def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("samples=abc\n")
+    for argv in (
+        ["--samples", "0"],
+        ["--steps", "8,4"],
+        ["--theta", "abc"],
+        ["--steps", "4,x"],
+        ["--seed", "-1"],
+        ["--p0-seed", "-1"],
+        ["--config", str(conf)],
+    ):
+        assert main(["toy-converge"] + argv) == 2
+    monkeypatch.setenv("THETALEAP_WORKERS", "abc")
+    assert main(["toy-converge"]) == 2
+    assert all(ln.startswith("error: ") for ln in capsys.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize(
+    "method,theta",
+    [
+        ("tau-leaping,bogus", "0.5"),
+        ("euler,bogus", "0.5"),
+        ("tau-leaping,theta-trapezoidal", "0.5,1"),
+    ],
+)
+def test_cli_rejects_a_bad_sweep_cell_before_sampling(tmp_path, monkeypatch, method, theta):
+    calls = []
+    monkeypatch.setattr(cli, "run_sampler", lambda *a, **k: calls.append(a))
+    code = main(
+        ["toy-converge", "--samples", "1000", "--steps", "4", "--method", method,
+         "--theta", theta, "--bootstrap", "10", "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert calls == []
 
 
 def test_cli_exit_code_io_error(tmp_path):

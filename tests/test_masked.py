@@ -179,6 +179,22 @@ def test_target_table_load_rejects_large_drift(tmp_path):
         load_target_table(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# d=1 S=2\nzero 0.5\n1 0.5\n",  # non-integer index
+        "# d=1 S=2\n0 half\n1 0.5\n",  # non-float probability
+        "# d=x S=2\n0 0.5\n1 0.5\n",  # bad header
+    ],
+    ids=["index", "probability", "header"],
+)
+def test_target_table_load_rejects_malformed_fields(tmp_path, text):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    with pytest.raises(DataError):
+        load_target_table(path)
+
+
 # conditional oracle
 
 

@@ -67,8 +67,6 @@ def test_make_time_grid_rejects_bad_inputs():
         make_time_grid(1.0, 0.0, 0, 0.5)
     with pytest.raises(ConfigError):
         make_time_grid(1.0, 0.0, 4, 0.0)
-    with pytest.raises(ConfigError):
-        make_time_grid(1.0, 0.0, 4, 0.5, schedule="geometric")
 
 
 # alpha coefficients
