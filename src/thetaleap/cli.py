@@ -98,6 +98,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.steps or any(b <= a for a, b in zip(self.steps, self.steps[1:])):
             raise ConfigError("steps list must be nonempty and strictly increasing")
+        if not self.method or not self.theta:
+            raise ConfigError(f"method and theta lists must be nonempty, got {self.method} and {self.theta}")
         if self.samples < 1:
             raise ConfigError(f"need at least one sample, got {self.samples}")
         if any(not (0.0 < th <= 1.0) for th in self.theta):

@@ -17,17 +17,26 @@ Batch models implement:
     ``s`` may be a scalar or a per-row vector
   - ``apply(states, rows, coords, vals)``: in-place jump application
   - ``encode(states)``: canonical integer label per trajectory
-  - optionally ``total_bound(s_lo, s_hi)`` (uniformization) and
+  - optionally ``total_bound(s_lo, s_hi)`` (uniformization): a bound on
+    every trajectory's total rate over (s_lo, s_hi], elementwise over
+    arrays of windows or one scalar for all of them, and
     ``finalize_batch(states, rng, telemetry)``
 
-Uniformization thins a dominating Poisson clock window by window.  Its
-substream first draws one candidate count per trajectory, Poisson(bound x
-window length); that count is the trajectory's NFE in the window.  Each
-round then takes every trajectory that still has candidates to its next
-candidate time, drawn as the next uniform order statistic, and accepts the
-jump with one uniform against total rate / bound.  Rounds run over a
-compacted array of the still-active rows, so the work scales with the
-candidates drawn (the NFE), not with trajectories x the largest count.
+Uniformization thins a dominating Poisson clock window by window.  Each
+window is split into ``ENVELOPE_PIECES`` equal pieces, and the model's
+``total_bound(piece_lo, piece_hi)`` (one vectorized call per chunk; a scalar
+is broadcast) gives a piecewise-constant envelope that dominates every
+trajectory's total rate on its piece.  The window's substream first draws
+one candidate count per trajectory, Poisson(window mass of the envelope);
+that count is the trajectory's NFE in the window, so NFE counts envelope
+candidates.  Each round then takes every trajectory that still has
+candidates to its next candidate time: the next uniform order statistic in
+envelope-mass space, mapped to time by the exact piecewise-linear inverse.
+The jump is accepted with one uniform against total rate / the bound of the
+candidate's piece.  Rounds run over a compacted array of the still-active
+rows, so the work scales with the candidates drawn (the NFE), not with
+trajectories x the largest count.  ``ENVELOPE_PIECES`` is part of the
+reproducibility contract, like ``CHUNK_SIZE``.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from .solvers import (
 )
 
 CHUNK_SIZE = 16384
+ENVELOPE_PIECES = 16
 
 # Stream-purpose tags; part of the reproducibility contract.
 TAG_INIT = 1
@@ -161,35 +171,53 @@ def _step_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: StepTe
     return states
 
 
+def _envelope(model, points: np.ndarray):
+    """Envelope of every window: piece edges and cumulative masses, shape
+    (n_windows, K + 1), and piece bounds, shape (n_windows, K), K = ENVELOPE_PIECES."""
+    frac = np.arange(ENVELOPE_PIECES + 1) / ENVELOPE_PIECES
+    edges = points[:-1, None] + np.diff(points)[:, None] * frac
+    edges[:, -1] = points[1:]
+    bound = model.total_bound(edges[:, :-1], edges[:, 1:])
+    bounds = np.broadcast_to(bound, edges[:, 1:].shape).astype(float)
+    if not np.all(np.isfinite(bounds) & (bounds >= 0.0)):
+        raise ConfigError(f"dominating bound must be finite and nonnegative, got {bounds.min()}")
+    cum_mass = np.zeros_like(edges)
+    np.cumsum(bounds * np.diff(edges, axis=1), axis=1, out=cum_mass[:, 1:])
+    return edges, bounds, cum_mass
+
+
 def _uniformize_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: StepTelemetry):
     """Exact simulation by thinning; the draw layout is in the module docstring."""
-    grid = config.grid
     m = states.shape[0]
     nfe_per = np.zeros(m, dtype=np.int64)
     spc = model.slots_per_coord
     ones = np.ones(model.n_coords * spc)
-    for w in range(grid.n_intervals):
-        s_lo, s_hi = float(grid.points[w]), float(grid.points[w + 1])
-        bound = float(model.total_bound(s_lo, s_hi))
-        if not (np.isfinite(bound) and bound >= 0.0):
-            raise ConfigError(f"dominating bound must be finite and nonnegative, got {bound}")
+    envelope = _envelope(model, config.grid.points)
+    for w, (edges, bounds, cum_mass) in enumerate(zip(*envelope)):
+        mass = cum_mass[-1]
+        # time per unit of envelope mass on each piece (0 on empty pieces)
+        slope = np.divide(1.0, bounds, out=np.zeros_like(bounds), where=bounds > 0.0)
         rng = substream(config.seed, TAG_UNIF, chunk_idx, w)
-        n_cand = rng.poisson(bound * (s_hi - s_lo), size=m)
+        n_cand = rng.poisson(mass, size=m)
         nfe_per += n_cand
         rows = np.flatnonzero(n_cand)
         left = n_cand[rows]
-        t = np.full(rows.size, s_lo)
+        lam = np.zeros(rows.size)
         while rows.size:
             v_time, v_acc = rng.random((2, rows.size))
-            # the smallest of ``left`` uniform times on (t, s_hi]
-            t += (s_hi - t) * (1.0 - v_time ** (1.0 / left))
+            # the smallest of ``left`` uniform masses on (lam, mass], then its time
+            lam += (mass - lam) * (1.0 - v_time ** (1.0 / left))
+            piece = np.searchsorted(cum_mass[1:-1], lam, side="right")
+            t = edges[piece] + (lam - cum_mass[piece]) * slope[piece]
+            bound = bounds[piece]
             r = model.rates_batch(t, states[rows])
             totals = r @ ones
-            worst = totals.max()
-            if worst > bound * (1.0 + BOUND_RTOL):
+            over = totals > bound * (1.0 + BOUND_RTOL)
+            if over.any():
+                i = np.argmax(over)
                 raise BoundViolationError(
-                    f"total intensity {worst:.6g} exceeds declared bound {bound:.6g} "
-                    f"in window ({s_lo:.6g}, {s_hi:.6g}]"
+                    f"total intensity {totals[i]:.6g} exceeds declared bound {bound[i]:.6g} "
+                    f"on piece ({edges[piece[i]]:.6g}, {edges[piece[i] + 1]:.6g}]"
                 )
             u = v_acc * bound
             hit = u < totals
@@ -200,7 +228,7 @@ def _uniformize_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: 
                 tel.drawn_jumps += np.count_nonzero(hit)
             left -= 1
             keep = left > 0
-            rows, left, t = rows[keep], left[keep], t[keep]
+            rows, left, lam = rows[keep], left[keep], lam[keep]
     tel.nfe += int(nfe_per.sum())
     return states, nfe_per
 

@@ -133,8 +133,9 @@ def bootstrap_kl_ci(
 
     ``samples`` may be raw integer draws or an EmpiricalDistribution.
     Resampling M draws with replacement is done as one multinomial draw over
-    the observed frequencies per resample.  Infinite resample KLs are
-    counted and excluded from the percentile computation.
+    the observed frequencies per resample, and the resample KLs are taken in
+    one array pass over those draws.  Infinite resample KLs are counted and
+    excluded from the percentile computation.
     """
     if n_resamples < 2:
         raise ConfigError(f"need at least 2 resamples, got {n_resamples}")
@@ -151,9 +152,13 @@ def bootstrap_kl_ci(
     estimate = kl_divergence(p0, emp)
     freqs = emp.frequencies
     draws = rng.multinomial(m, freqs, size=n_resamples)
-    kls = np.empty(n_resamples)
-    for b in range(n_resamples):
-        kls[b] = kl_divergence(p0, draws[b] / m)
+    # kl_divergence of every resample at once; one missing a support cell
+    # divides by zero there and gets inf, as kl_divergence returns
+    support = p0.probs > 0.0
+    pv = p0.probs[support]
+    q = draws[:, support] / m
+    with np.errstate(divide="ignore"):
+        kls = np.sum(pv * np.log(pv / q), axis=1)
     finite = np.isfinite(kls)
     n_inf = int(n_resamples - finite.sum())
     if not finite.any():

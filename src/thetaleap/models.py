@@ -39,15 +39,15 @@ class ToyUniformModel:
         self.n_coords = 1
         self.slots_per_coord = self.S
 
-    def total_bound(self, s_lo: float, s_hi: float) -> float:
-        """Dominating total intensity over a window.
+    def total_bound(self, s_lo, s_hi):
+        """Dominating total intensity over a window, elementwise for arrays.
 
         The total rate out of y is (1 - p(y)) / (S p(y)), maximized at the
         smallest marginal mass, which over the window occurs at s_hi.
         """
-        t = self.horizon - s_hi
+        t = self.horizon - np.asarray(s_hi, dtype=float)
         p_floor = (1.0 - np.exp(-t)) / self.S + np.exp(-t) * float(self.p0.probs.min())
-        if p_floor <= 0.0:
+        if np.any(p_floor <= 0.0):
             raise ConfigError(
                 "target has a zero-mass state; run with an early stop delta > 0"
             )

@@ -162,7 +162,8 @@ class SolverConfig:
             warnings.warn(
                 f"theta-rk2 with theta={theta} > 1/2: second-order accuracy is "
                 "only guaranteed for theta <= 1/2",
-                stacklevel=2,
+                # past __post_init__ and the dataclass __init__ to the caller
+                stacklevel=3,
             )
 
 

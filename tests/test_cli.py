@@ -209,6 +209,8 @@ def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
         ["--steps", "4,x"],
         ["--seed", "-1"],
         ["--p0-seed", "-1"],
+        ["--method", ","],
+        ["--theta", ","],
         ["--config", str(conf)],
     ):
         assert main(["toy-converge"] + argv) == 2

@@ -120,6 +120,20 @@ def test_bootstrap_infinite_resamples_flagged():
     assert r.n_infinite_resamples == 100
 
 
+def test_bootstrap_matches_per_resample_kl_divergence():
+    # the array pass equals kl_divergence resample by resample, infinite
+    # resamples (state 2 not redrawn) and a zero-mass target cell included
+    p0 = ProbabilityVector(np.array([0.45, 0.45, 0.1, 0.0]))
+    samples = np.array([0] * 100 + [1] * 97 + [2] * 3)
+    r = bootstrap_kl_ci(samples, p0, n_resamples=500, rng=np.random.default_rng(8))
+    draws = np.random.default_rng(8).multinomial(200, np.bincount(samples, minlength=4) / 200, size=500)
+    kls = np.array([kl_divergence(p0, d / 200) for d in draws])
+    finite = np.isfinite(kls)
+    assert 0 < r.n_infinite_resamples == (~finite).sum() < 500
+    lo, hi = np.quantile(kls[finite], [0.025, 0.975])
+    assert r.ci_lo == pytest.approx(lo, rel=1e-12) and r.ci_hi == pytest.approx(hi, rel=1e-12)
+
+
 def test_bootstrap_validation():
     p0 = ProbabilityVector(np.array([1.0, 0.0]))
     with pytest.raises(ConfigError):

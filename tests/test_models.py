@@ -62,6 +62,17 @@ def test_toy_total_bound_dominates(toy):
         s = rng.uniform(s_lo, s_hi)
         totals = toy.rates_batch(s, np.arange(15, dtype=np.int64)).sum(axis=1)
         assert totals.max() <= bound * (1 + 1e-12)
+    # elementwise over arrays of windows, as the engine asks for its envelope
+    s_lo = np.sort(rng.uniform(0, 11.9, size=(3, 8)), axis=1)
+    s_hi = s_lo + rng.uniform(0.01, 0.1, size=s_lo.shape)
+    bounds = toy.total_bound(s_lo, s_hi)
+    assert bounds.shape == s_lo.shape
+    want = [toy.total_bound(lo, hi) for lo, hi in zip(s_lo.ravel(), s_hi.ravel())]
+    assert np.array_equal(bounds.ravel(), want)
+    s = rng.uniform(s_lo, s_hi)
+    states = np.arange(15, dtype=np.int64)
+    worst = [toy.rates_batch(t, states).sum(axis=1).max() for t in s.ravel()]
+    assert np.all(np.array(worst) <= bounds.ravel() * (1 + 1e-12))
 
 
 def test_toy_zero_mass_target_needs_early_stop():

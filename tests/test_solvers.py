@@ -19,6 +19,7 @@ from thetaleap.solvers import (
 from kernel_oracle import two_state_marginal
 from tiny_models import (
     ConstantRates,
+    RampRates,
     RecordingSwitched,
     SwitchedRates,
     TwoState,
@@ -230,8 +231,9 @@ def test_solver_config_validation_and_warning():
         SolverConfig("unknown-method", grid, seed=0)
     with pytest.raises(ConfigError):
         SolverConfig("theta-trapezoidal", make_time_grid(1.0, 0.0, 2, 1.0), seed=0)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as warned:
         SolverConfig("theta-rk2", grid, seed=0)
+    assert warned[0].filename == __file__  # attributed to the caller
 
 
 # uniformization
@@ -279,7 +281,66 @@ def test_uniformization_candidate_times_are_sorted_uniforms():
     assert abs(samples.mean() - want) < 4 * se
 
 
+def _ramp_envelope(a, edges):
+    """Piece edges, bounds a * piece_hi and cumulative masses of each window's envelope."""
+    k = engine.ENVELOPE_PIECES
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        piece_edges = lo + (hi - lo) * np.arange(k + 1) / k
+        mass = a * piece_edges[1:] * np.diff(piece_edges)
+        yield lo, hi, piece_edges, np.concatenate([[0.0], np.cumsum(mass)])
+
+
+def test_uniformization_candidates_follow_the_piecewise_envelope():
+    # on the ramp a * s the envelope is a * piece_hi on each of the
+    # ENVELOPE_PIECES pieces of a window, so pooled candidate times have
+    # the envelope's piecewise-linear CDF there, not a uniform one
+    a, windows, n = 4.0, 4, 20_000
+    model = RampRates(a)
+    _, tel, nfe = _sample(model, "uniformization", 1.0, n, n_steps=windows, seed=19)
+    ids = np.concatenate([c[0] for c in model.calls])
+    times = np.concatenate([c[1] for c in model.calls])
+    assert np.array_equal(np.bincount(ids, minlength=n), nfe) and tel.nfe == ids.size
+    edges = make_time_grid(1.0, 0.0, windows, 0.5).points
+    for lo, hi, piece_edges, cum in _ramp_envelope(a, edges):
+        inside = times[(times > lo) & (times <= hi)]
+        envelope_cdf = np.interp(inside, piece_edges, cum / cum[-1])
+        assert stats.kstest(envelope_cdf, "uniform").pvalue > 1e-3
+
+
+def test_uniformization_ramp_nfe_is_the_envelope_mass_and_the_law_is_exact():
+    a, windows, n = 4.0, 4, 20_000
+    samples, _, nfe = _sample(RampRates(a), "uniformization", 1.0, n, n_steps=windows, seed=20)
+    edges = make_time_grid(1.0, 0.0, windows, 0.5).points
+    envelope = sum(cum[-1] for *_, cum in _ramp_envelope(a, edges))
+    window_max = float(np.sum(a * edges[1:] * np.diff(edges)))
+    se = np.sqrt(envelope / n)  # the NFE is Poisson(envelope mass)
+    assert abs(nfe.mean() - envelope) < 4 * se
+    assert envelope + 8 * se < window_max
+    want = 1.0 - np.exp(-a / 2.0)
+    se = np.sqrt(want * (1 - want) / n)
+    assert abs(samples.mean() - want) < 4 * se
+
+
 def test_uniformization_bound_violation_raises():
     model = ConstantRates([[0.0, 2.0]], bound=1.0)  # declared bound is a lie
     with pytest.raises(BoundViolationError):
         _sample(model, "uniformization", 1.0, 50, seed=17)
+
+
+class _OnePieceLies(ConstantRates):
+    """The true total rate as bound on every envelope piece but one, which gets half of it."""
+
+    def total_bound(self, s_lo, s_hi):
+        bounds = np.full(np.shape(s_hi), self.bound)
+        bounds[0, 5] /= 2.0
+        return bounds
+
+
+def test_uniformization_bound_violation_on_one_piece_raises():
+    # 2000 trajectories put about 2000 * 2 / 16 = 250 candidates on the
+    # lying piece, each with total rate 2 > 1
+    model = _OnePieceLies([[0.0, 2.0]])
+    with pytest.raises(BoundViolationError, match=r"exceeds declared bound 1 on piece \(0.3125, 0.375\]"):
+        _sample(model, "uniformization", 1.0, 2000, seed=17)
+    # told the truth on every piece, the same run passes
+    _sample(ConstantRates([[0.0, 2.0]]), "uniformization", 1.0, 2000, seed=17)

@@ -47,16 +47,15 @@ class SwitchedRates(ConstantRates):
         return super().rates_batch(s, states) * (np.asarray(s) < self.switch)[..., None]
 
 
-class RecordingSwitched(SwitchedRates):
-    """Coordinate 0 jumps 0 -> 1 at rate ``lam`` before ``switch``; coordinate 1
-    holds the trajectory id and carries no rate.  ``calls`` keeps the
-    (trajectory ids, evaluation times) of every rate evaluation.  Ids count up
-    across chunks, so they match the engine's per-trajectory order when the
-    chunks run in one process.
+class _Recording:
+    """Coordinate 1 holds the trajectory id and carries no rate.  ``calls``
+    keeps the (trajectory ids, evaluation times) of every rate evaluation.
+    Ids count up across chunks, so they match the engine's per-trajectory
+    order when the chunks run in one process.
     """
 
-    def __init__(self, lam, switch):
-        super().__init__([[0.0, lam], [0.0, 0.0]], switch)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.calls = []
         self._next_id = 0
 
@@ -73,6 +72,32 @@ class RecordingSwitched(SwitchedRates):
 
     def encode(self, states):
         return states[:, 0].copy()
+
+
+class RecordingSwitched(_Recording, SwitchedRates):
+    """Coordinate 0 jumps 0 -> 1 at rate ``lam`` before ``switch``; evaluations
+    are recorded as in ``_Recording``.
+    """
+
+    def __init__(self, lam, switch):
+        super().__init__([[0.0, lam], [0.0, 0.0]], switch)
+
+
+class RampRates(_Recording, ConstantRates):
+    """Coordinate 0 jumps 0 -> 1 at rate ``a * s``, dominated on any window by
+    ``a * s_hi``; evaluations are recorded as in ``_Recording``.
+    """
+
+    def __init__(self, a):
+        super().__init__([[0.0, 1.0], [0.0, 0.0]])
+        self.a = a
+
+    def total_bound(self, s_lo, s_hi):
+        return self.a * np.asarray(s_hi, dtype=float)
+
+    def rates_batch(self, s, states):
+        ramp = self.a * np.asarray(s, dtype=float) * (states[:, 0] == 0)
+        return super().rates_batch(s, states) * ramp[:, None]
 
 
 class TwoState(ConstantRates):
