@@ -26,7 +26,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .ctmc import ProbabilityVector
-from .engine import substream
+from .engine import ChunkPool, substream
 from .errors import ConfigError, DataError, NumericalError, ThetaLeapError
 from .masked import NoiseSchedule, TargetTable, load_target_table, random_target_table
 from .metrics import (
@@ -238,7 +238,8 @@ def _sweep(config: ExperimentConfig, model, target: ProbabilityVector, n_states:
     """Run the (method, theta, steps) product and collect rows plus fits.
 
     Every cell's grid and solver config is built before the first cell runs,
-    so a bad method name or theta fails before any sampling.
+    so a bad method name or theta fails before any sampling.  The cells share
+    one chunk pool, whose workers (if any start) are joined before this returns.
     """
     cells = [
         SolverConfig(
@@ -249,44 +250,43 @@ def _sweep(config: ExperimentConfig, model, target: ProbabilityVector, n_states:
         for n_steps in config.steps
     ]
     rows = []
-    for cell, scfg in enumerate(cells):
-        method, theta, n_steps = scfg.method, scfg.grid.theta, scfg.grid.n_intervals
-        t0 = time.monotonic()
-        samples, tel, nfe = run_sampler(
-            scfg, model, config.samples, workers=config.workers, collect_nfe=True
-        )
-        emp = empirical_distribution(samples, n_states)
-        report = bootstrap_kl_ci(
-            emp,
-            target,
-            n_resamples=config.bootstrap,
-            level=config.ci_level,
-            rng=substream(config.seed, TAG_BOOT, cell),
-        )
-        wall_ms = (time.monotonic() - t0) * 1e3
-        rows.append(
-            ResultRow(
-                method=method,
-                theta=theta,
-                steps=n_steps,
-                nfe=tel.nfe / config.samples,
-                kl=report.estimate,
-                ci_lo=report.ci_lo,
-                ci_hi=report.ci_hi,
-                positivity_frac=tel.positivity_fraction,
-                rejection_frac=tel.rejection_fraction,
-                wall_ms=wall_ms,
-                seed=config.seed,
+    with ChunkPool(model, config.workers) as pool:
+        for cell, scfg in enumerate(cells):
+            method, theta, n_steps = scfg.method, scfg.grid.theta, scfg.grid.n_intervals
+            t0 = time.monotonic()
+            samples, tel, nfe = run_sampler(scfg, model, config.samples, pool=pool, collect_nfe=True)
+            emp = empirical_distribution(samples, n_states)
+            report = bootstrap_kl_ci(
+                emp,
+                target,
+                n_resamples=config.bootstrap,
+                level=config.ci_level,
+                rng=substream(config.seed, TAG_BOOT, cell),
             )
-        )
-        _info(
-            f"{method} theta={theta} N={n_steps}: kl={report.estimate:.4e} "
-            f"[{report.ci_lo:.4e}, {report.ci_hi:.4e}] "
-            f"pos={tel.positivity_fraction:.4f} rej={tel.rejection_fraction:.2e} "
-            f"({wall_ms:.0f} ms)"
-        )
-        if nfe is not None:
-            _info(f"  nfe mean={nfe.mean():.2f} p95={np.percentile(nfe, 95):.1f}")
+            wall_ms = (time.monotonic() - t0) * 1e3
+            rows.append(
+                ResultRow(
+                    method=method,
+                    theta=theta,
+                    steps=n_steps,
+                    nfe=tel.nfe / config.samples,
+                    kl=report.estimate,
+                    ci_lo=report.ci_lo,
+                    ci_hi=report.ci_hi,
+                    positivity_frac=tel.positivity_fraction,
+                    rejection_frac=tel.rejection_fraction,
+                    wall_ms=wall_ms,
+                    seed=config.seed,
+                )
+            )
+            _info(
+                f"{method} theta={theta} N={n_steps}: kl={report.estimate:.4e} "
+                f"[{report.ci_lo:.4e}, {report.ci_hi:.4e}] "
+                f"pos={tel.positivity_fraction:.4f} rej={tel.rejection_fraction:.2e} "
+                f"({wall_ms:.0f} ms)"
+            )
+            if nfe is not None:
+                _info(f"  nfe mean={nfe.mean():.2f} p95={np.percentile(nfe, 95):.1f}")
     fits = _fit_rows(config, rows, n_states)
     return rows, fits
 

@@ -9,6 +9,14 @@ the output is a pure function of the seed and the sample count: worker
 processes only change wall time, never bytes.  ``CHUNK_SIZE`` is part of
 that reproducibility contract; changing it changes the streams.
 
+Chunks run on a :class:`ChunkPool`.  A sweep opens one for its model and
+keeps it for all of its cells; a lone :func:`run_batches` call opens and
+closes its own.  The worker processes start at the first call with more
+than one chunk and ``workers > 1``, so a serial or single-chunk sweep never
+forks, and they are joined when the pool closes.  The model reaches each
+worker once, through the executor's initializer; a chunk task carries only
+``(config, chunk_idx, m, collect_nfe)``.
+
 Batch models implement:
   - ``n_coords``, ``slots_per_coord``: jump-slot layout, where slot (c, v)
     means "set coordinate c to target v"
@@ -77,10 +85,12 @@ def _leap_batch(model, states, rates, dt, rng, tel: StepTelemetry):
     jump, otherwise every coordinate with a single drawn jump moves.
     """
     m = states.shape[0]
-    lam = rates * dt
-    if lam.size and not lam.min() >= 0.0:
-        raise NumericalError("negative or NaN rate reached the Poisson draw; clamping failed upstream")
-    counts = rng.poisson(lam)
+    try:
+        counts = rng.poisson(rates * dt)
+    except ValueError as exc:  # lam < 0, NaN or too large
+        raise NumericalError(
+            f"negative or NaN rate reached the Poisson draw; clamping failed upstream ({exc})"
+        ) from exc
     c3 = counts.reshape(m, model.n_coords, model.slots_per_coord)
     per_coord = np.einsum("mcs->mc", c3)
     reject = (per_coord > 1).any(axis=1)
@@ -251,22 +261,75 @@ def _run_chunk(config: SolverConfig, model, chunk_idx: int, m: int, collect_nfe:
     return samples, tel, (nfe_per if collect_nfe else None)
 
 
-def _chunk_task(args):
-    return _run_chunk(*args)
+# The model of this worker process, set once by the pool's initializer.
+_worker_model = None
 
 
-def run_batches(config: SolverConfig, model, n_samples: int, workers: int = 1, collect_nfe: bool = False):
-    """Run all trajectory chunks, serially or on a process pool."""
-    sizes = [
-        (idx, min(CHUNK_SIZE, n_samples - idx * CHUNK_SIZE))
+def _set_worker_model(model) -> None:
+    global _worker_model
+    _worker_model = model
+
+
+def _chunk_task(task):
+    config, chunk_idx, m, collect_nfe = task
+    return _run_chunk(config, _worker_model, chunk_idx, m, collect_nfe)
+
+
+class ChunkPool:
+    """Worker processes for one model, started by the first call that needs them.
+
+    Use it as a context manager: leaving the block shuts the executor down and
+    joins its workers, also when a chunk raised.
+    """
+
+    def __init__(self, model, workers: int):
+        self.model = model
+        self.workers = workers
+        self._executor = None
+
+    def run(self, tasks: list) -> list:
+        """Results of ``(config, chunk_idx, m, collect_nfe)`` tasks, in task order."""
+        if self.workers <= 1 or len(tasks) == 1:
+            return [_run_chunk(config, self.model, idx, m, nfe) for config, idx, m, nfe in tasks]
+        if self._executor is None:
+            # looked up at call time, so a patched module-level name is honoured
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_set_worker_model, initargs=(self.model,)
+            )
+        return list(self._executor.map(_chunk_task, tasks, chunksize=1))
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def run_batches(
+    config: SolverConfig,
+    model,
+    n_samples: int,
+    workers: int = 1,
+    collect_nfe: bool = False,
+    pool: ChunkPool | None = None,
+):
+    """Run all trajectory chunks on ``pool``, or on a pool of ``workers`` opened for this call."""
+    tasks = [
+        (config, idx, min(CHUNK_SIZE, n_samples - idx * CHUNK_SIZE), collect_nfe)
         for idx in range((n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE)
     ]
-    tasks = [(config, model, idx, m, collect_nfe) for idx, m in sizes]
-    if workers <= 1 or len(tasks) == 1:
-        results = [_run_chunk(*t) for t in tasks]
+    if pool is None:
+        with ChunkPool(model, workers) as own:
+            results = own.run(tasks)
+    elif pool.model is not model:
+        raise ConfigError("the chunk pool was opened for a different model")
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_task, tasks, chunksize=1))
+        results = pool.run(tasks)
     samples = np.concatenate([r[0] for r in results])
     telemetry = StepTelemetry()
     for _, tel, _ in results:

@@ -66,13 +66,15 @@ class ToyUniformModel:
                     f"marginal at reverse time {float(s):.6g} has a zero-mass state; "
                     "the score is undefined there (use an early stop delta > 0)"
                 )
-            r = pt[None, :] / (self.S * pt[states, None])
-        else:
-            # rank 2: r[i, v] = (base_i + decay_i p0[v]) / (S pt_i(y_i))
-            base = (1.0 - decay) / self.S
-            inv_own = 1.0 / (self.S * (base + decay * self.p0.probs[states]))
-            coef = np.stack([base * inv_own, decay * inv_own], axis=1)
-            r = coef @ np.stack([np.ones(self.S), self.p0.probs])
+            # one S x S table of pt[v] / (S pt[y]) per call, gathered by state
+            table = pt[None, :] / (self.S * pt[:, None])
+            np.fill_diagonal(table, 0.0)
+            return np.take(table, states, axis=0)
+        # rank 2: r[i, v] = (base_i + decay_i p0[v]) / (S pt_i(y_i))
+        base = (1.0 - decay) / self.S
+        inv_own = 1.0 / (self.S * (base + decay * self.p0.probs[states]))
+        coef = np.stack([base * inv_own, decay * inv_own], axis=1)
+        r = coef @ np.stack([np.ones(self.S), self.p0.probs])
         r.reshape(-1)[np.arange(states.size) * self.S + states] = 0.0
         return r
 
@@ -155,7 +157,9 @@ class MaskedToyModel:
         self._ensure_codes(codes)
         coef = self._coef(s)
         coef = coef[:, None] if np.ndim(coef) else float(coef)
-        return coef * self._rows[codes]
+        r = np.take(self._rows, codes, axis=0)
+        r *= coef
+        return r
 
     def apply(self, states, rows, coords, vals):
         states[rows, coords] = vals

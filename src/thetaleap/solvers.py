@@ -167,12 +167,19 @@ class SolverConfig:
             )
 
 
-def run_sampler(config: SolverConfig, model, n_samples: int, workers: int = 1, collect_nfe: bool = False):
+def run_sampler(
+    config: SolverConfig, model, n_samples: int, workers: int = 1, collect_nfe: bool = False, pool=None
+):
     """Sample ``n_samples`` independent trajectories through the grid.
 
     Results are bit-reproducible from (seed, n_samples) alone: randomness is
     keyed by fixed-size trajectory chunks, so the worker count only affects
-    wall time.  Returns ``(samples, telemetry)``; with ``collect_nfe`` a third
+    wall time.  ``pool`` is an open :class:`thetaleap.engine.ChunkPool` for
+    ``model``, which a sweep keeps across its cells and which then sets the
+    worker count; without one, a call with ``workers > 1`` and more than one
+    chunk opens a pool of its own and joins its workers before returning.
+    Either way the model is sent once to each worker, not with every chunk.
+    Returns ``(samples, telemetry)``; with ``collect_nfe`` a third
     item holds per-trajectory NFE counts for uniformization and ``None`` for
     the stepping methods, whose NFE is the same for every trajectory.
     """
@@ -180,4 +187,6 @@ def run_sampler(config: SolverConfig, model, n_samples: int, workers: int = 1, c
 
     if n_samples < 1:
         raise ConfigError(f"need at least one trajectory, got {n_samples}")
-    return engine.run_batches(config, model, n_samples, workers=workers, collect_nfe=collect_nfe)
+    return engine.run_batches(
+        config, model, n_samples, workers=workers, collect_nfe=collect_nfe, pool=pool
+    )

@@ -1,5 +1,8 @@
 import json
 import math
+import multiprocessing
+import pickle
+import re
 
 from dataclasses import fields
 
@@ -17,7 +20,9 @@ from thetaleap.cli import (
     main,
     parse_results,
 )
+from thetaleap.engine import CHUNK_SIZE
 from thetaleap.errors import ConfigError
+from thetaleap.solvers import SolverConfig
 
 
 def _rows():
@@ -320,6 +325,46 @@ def test_cli_zero_mass_target_is_a_model_error(tmp_path):
              "--out", str(tmp_path / "x.csv")]
         )
     assert code == 4
+
+
+def test_cli_zero_mass_target_error_on_a_pool(tmp_path, capsys):
+    # the same model error raised in a worker: exit 4, the failing chunk's
+    # trajectories named, and the pool's workers joined
+    p = np.full(15, 1 / 14)
+    p[0] = 0.0
+    table = _write_table(tmp_path / "p0.txt", p, d=1, S=15)
+    with pytest.warns(UserWarning):
+        code = main(
+            ["toy-converge", "--samples", str(CHUNK_SIZE + 1000), "--steps", "4", "--method", "theta-rk2",
+             "--theta", "1", "--delta", "0", "--bootstrap", "10", "--target-file", table,
+             "--workers", "2", "--out", str(tmp_path / "x.csv")]
+        )
+    assert code == 4
+    assert re.search(r"\[trajectories \d+\.\.\d+\]", capsys.readouterr().err)
+    assert multiprocessing.active_children() == []
+
+
+def _toy_sweep(tmp_path, samples, workers):
+    return main(
+        ["toy-converge", "--method", "tau-leaping", "--steps", "1,2", "--samples", str(samples),
+         "--workers", str(workers), "--bootstrap", "10", "--out", str(tmp_path / "x.csv")]
+    )
+
+
+def test_cli_sweep_runs_on_one_pool_and_tasks_carry_no_model(tmp_path, pool_log):
+    pools, tasks = pool_log
+    assert _toy_sweep(tmp_path, CHUNK_SIZE + 100, workers=2) == 0
+    assert len(pools) == 1
+    assert [task[1:] for task in tasks] == [(0, CHUNK_SIZE, True), (1, 100, True)] * 2
+    for task in tasks:
+        assert isinstance(task[0], SolverConfig)
+        assert b"ToyUniformModel" not in pickle.dumps(task)
+
+
+@pytest.mark.parametrize("samples, workers", [(CHUNK_SIZE + 100, 1), (1000, 2)])
+def test_cli_serial_or_single_chunk_sweep_starts_no_pool(tmp_path, pool_log, samples, workers):
+    assert _toy_sweep(tmp_path, samples, workers) == 0
+    assert pool_log[0] == []
 
 
 def test_workers_env_default(monkeypatch):

@@ -1,11 +1,13 @@
 """Batch engine checks: agreement with the exact scheme kernels, determinism
 across worker counts, and telemetry accounting."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from thetaleap.engine import CHUNK_SIZE, substream
-from thetaleap.errors import StepSizeError
+from thetaleap.engine import CHUNK_SIZE, ChunkPool, substream
+from thetaleap.errors import ConfigError, StepSizeError
 from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
 from thetaleap.models import ToyUniformModel, sample_simplex
 from thetaleap.solvers import SolverConfig, make_time_grid, run_sampler
@@ -43,6 +45,22 @@ def test_worker_count_does_not_change_samples(toy):
     assert np.array_equal(s1, s2)
     assert t1.nfe == t2.nfe and t1.rejected_steps == t2.rejected_steps
     assert t1.negative_intensity_events == t2.negative_intensity_events
+
+
+def test_run_sampler_without_a_pool_opens_and_joins_its_own(toy, pool_log):
+    pools, tasks = pool_log
+    cfg = SolverConfig("tau-leaping", make_time_grid(HORIZON, 0.0, 2, 0.5), seed=9)
+    run_sampler(cfg, toy, CHUNK_SIZE + 10, workers=2)
+    assert len(pools) == 1
+    assert [task[1:] for task in tasks] == [(0, CHUNK_SIZE, False), (1, 10, False)]
+    assert multiprocessing.active_children() == []
+
+
+def test_chunk_pool_serves_only_its_model(toy):
+    cfg = SolverConfig("tau-leaping", make_time_grid(HORIZON, 0.0, 2, 0.5), seed=9)
+    with ChunkPool(toy, workers=2) as pool:
+        with pytest.raises(ConfigError):
+            run_sampler(cfg, ToyUniformModel(toy.p0, horizon=HORIZON), 10, pool=pool)
 
 
 def test_nfe_accounting(toy):

@@ -225,6 +225,13 @@ def test_error_on_negative_policy_raises():
         _sample(model, "theta-trapezoidal", 1.0, 100, n_steps=2, seed=14, clamp_policy=ERROR_ON_NEGATIVE)
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_bad_rate_at_the_poisson_draw_is_a_numerical_error(bad):
+    # the leap hands rates straight to the Poisson draw, which rejects them
+    with pytest.raises(NumericalError, match="clamping failed upstream"):
+        _sample(ConstantRates([[0.0, bad]]), "tau-leaping", 1.0, 10)
+
+
 def test_solver_config_validation_and_warning():
     grid = make_time_grid(1.0, 0.0, 2, 0.8)
     with pytest.raises(ConfigError):
