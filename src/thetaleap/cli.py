@@ -26,7 +26,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .ctmc import ProbabilityVector
-from .engine import ChunkPool, substream
+from .engine import ChunkPool, run_sampler, substream
 from .errors import ConfigError, DataError, NumericalError, ThetaLeapError
 from .masked import NoiseSchedule, TargetTable, load_target_table, random_target_table
 from .metrics import (
@@ -37,7 +37,7 @@ from .metrics import (
     noise_floor,
 )
 from .models import MaskedToyModel, ToyUniformModel, sample_simplex
-from .solvers import SolverConfig, make_time_grid, run_sampler
+from .solvers import SolverConfig, make_time_grid
 
 WORKERS_ENV = "THETALEAP_WORKERS"
 TOY_STATES = 15
@@ -208,8 +208,8 @@ def parse_results(path) -> list:
     if text.lstrip().startswith("{"):
         return [ResultRow(**obj) for obj in json.loads(text)["rows"]]
     lines = [ln for ln in text.splitlines() if ln]
-    if lines[0] != CSV_HEADER:
-        raise DataError("unrecognized results header")
+    if not lines or lines[0] != CSV_HEADER:
+        raise DataError("empty results file or unrecognized results header")
     rows = []
     for ln in lines[1:]:
         cells = ln.split(",")
@@ -254,7 +254,7 @@ def _sweep(config: ExperimentConfig, model, target: ProbabilityVector, n_states:
         for cell, scfg in enumerate(cells):
             method, theta, n_steps = scfg.method, scfg.grid.theta, scfg.grid.n_intervals
             t0 = time.monotonic()
-            samples, tel, nfe = run_sampler(scfg, model, config.samples, pool=pool, collect_nfe=True)
+            samples, tel, nfe = run_sampler(scfg, model, config.samples, pool=pool)
             emp = empirical_distribution(samples, n_states)
             report = bootstrap_kl_ci(
                 emp,

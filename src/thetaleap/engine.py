@@ -9,13 +9,13 @@ the output is a pure function of the seed and the sample count: worker
 processes only change wall time, never bytes.  ``CHUNK_SIZE`` is part of
 that reproducibility contract; changing it changes the streams.
 
-Chunks run on a :class:`ChunkPool`.  A sweep opens one for its model and
-keeps it for all of its cells; a lone :func:`run_batches` call opens and
-closes its own.  The worker processes start at the first call with more
-than one chunk and ``workers > 1``, so a serial or single-chunk sweep never
+:func:`run_sampler` runs the chunks in this process, or on a
+:class:`ChunkPool` that a sweep opens for its model and keeps for all of its
+cells.  A pool of more than one worker starts its processes at the first
+call with more than one chunk, so a serial or single-chunk sweep never
 forks, and they are joined when the pool closes.  The model reaches each
 worker once, through the executor's initializer; a chunk task carries only
-``(config, chunk_idx, m, collect_nfe)``.
+``(config, chunk_idx, m)``.
 
 Batch models implement:
   - ``n_coords``, ``slots_per_coord``: jump-slot layout, where slot (c, v)
@@ -54,13 +54,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .errors import BoundViolationError, ConfigError, NumericalError, StepSizeError, ThetaLeapError
-from .solvers import (
-    BOUND_RTOL,
-    ERROR_ON_NEGATIVE,
-    SolverConfig,
-    StepTelemetry,
-    alpha_coefficients,
-)
+from .solvers import BOUND_RTOL, SolverConfig, StepTelemetry, alpha_coefficients
 
 CHUNK_SIZE = 16384
 ENVELOPE_PIECES = 16
@@ -128,28 +122,23 @@ def _euler_batch(model, states, rates, dt, rng, tel: StepTelemetry):
     return states
 
 
-def _combine_stage2(method, mu0, mustar, theta, clamp, tel: StepTelemetry):
-    """Weighted stage-2 intensity array with clamping and positivity counts."""
+def _combine_stage2(method, mu0, mustar, theta, tel: StepTelemetry):
+    """Weighted stage-2 intensity array, clamped at zero, with positivity counts."""
     if method == "theta-rk2":
         considered = mu0 > 0.0
         combo = (1.0 - 0.5 / theta) * mu0
         combo += (0.5 / theta) * mustar
         combo[~considered] = 0.0
-        what = "combined intensity in theta-rk2"
     else:
         a1, a2 = alpha_coefficients(theta)
         considered = mu0 > 0.0
         considered |= mustar > 0.0
         combo = a1 * mustar
         combo -= a2 * mu0
-        what = "extrapolated intensity in theta-trapezoidal"
     neg = combo < 0.0
     neg &= considered
-    n_neg = np.count_nonzero(neg)
     tel.total_intensity_terms += np.count_nonzero(considered)
-    tel.negative_intensity_events += n_neg
-    if clamp == ERROR_ON_NEGATIVE and n_neg:
-        raise NumericalError(f"negative {what} stage 2")
+    tel.negative_intensity_events += np.count_nonzero(neg)
     return np.maximum(combo, 0.0, out=combo)
 
 
@@ -173,7 +162,7 @@ def _step_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: StepTe
             ystar = _leap_batch(model, states, mu0, theta * dt, rng1, tel)
             mustar = model.rates_batch(grid.rho[n], ystar)
             tel.nfe += m
-            combo = _combine_stage2(method, mu0, mustar, theta, config.clamp_policy, tel)
+            combo = _combine_stage2(method, mu0, mustar, theta, tel)
             if method == "theta-rk2":
                 states = _leap_batch(model, states, combo, dt, rng2, tel)
             else:
@@ -243,7 +232,7 @@ def _uniformize_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: 
     return states, nfe_per
 
 
-def _run_chunk(config: SolverConfig, model, chunk_idx: int, m: int, collect_nfe: bool):
+def _run_chunk(config: SolverConfig, model, chunk_idx: int, m: int):
     tel = StepTelemetry()
     try:
         states = model.sample_q0_batch(substream(config.seed, TAG_INIT, chunk_idx), m)
@@ -258,7 +247,7 @@ def _run_chunk(config: SolverConfig, model, chunk_idx: int, m: int, collect_nfe:
     except ThetaLeapError as exc:
         lo = chunk_idx * CHUNK_SIZE
         raise type(exc)(f"{exc} [trajectories {lo}..{lo + m - 1}]") from exc
-    return samples, tel, (nfe_per if collect_nfe else None)
+    return samples, tel, nfe_per
 
 
 # The model of this worker process, set once by the pool's initializer.
@@ -271,8 +260,8 @@ def _set_worker_model(model) -> None:
 
 
 def _chunk_task(task):
-    config, chunk_idx, m, collect_nfe = task
-    return _run_chunk(config, _worker_model, chunk_idx, m, collect_nfe)
+    config, chunk_idx, m = task
+    return _run_chunk(config, _worker_model, chunk_idx, m)
 
 
 class ChunkPool:
@@ -288,9 +277,9 @@ class ChunkPool:
         self._executor = None
 
     def run(self, tasks: list) -> list:
-        """Results of ``(config, chunk_idx, m, collect_nfe)`` tasks, in task order."""
+        """Results of ``(config, chunk_idx, m)`` tasks, in task order."""
         if self.workers <= 1 or len(tasks) == 1:
-            return [_run_chunk(config, self.model, idx, m, nfe) for config, idx, m, nfe in tasks]
+            return [_run_chunk(config, self.model, idx, m) for config, idx, m in tasks]
         if self._executor is None:
             # looked up at call time, so a patched module-level name is honoured
             self._executor = ProcessPoolExecutor(
@@ -310,32 +299,30 @@ class ChunkPool:
         self.close()
 
 
-def run_batches(
-    config: SolverConfig,
-    model,
-    n_samples: int,
-    workers: int = 1,
-    collect_nfe: bool = False,
-    pool: ChunkPool | None = None,
-):
-    """Run all trajectory chunks on ``pool``, or on a pool of ``workers`` opened for this call."""
-    tasks = [
-        (config, idx, min(CHUNK_SIZE, n_samples - idx * CHUNK_SIZE), collect_nfe)
-        for idx in range((n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE)
-    ]
+def run_sampler(config: SolverConfig, model, n_samples: int, pool: ChunkPool | None = None):
+    """Sample ``n_samples`` independent trajectories through the grid.
+
+    ``pool`` is an open :class:`ChunkPool` for ``model``, which sets the
+    worker count; without one every chunk runs in this process.  The output
+    is the same either way.  Returns ``(samples, telemetry, nfe)``, where
+    ``nfe`` holds per-trajectory NFE counts for uniformization and is
+    ``None`` for the stepping methods, whose NFE is the same for every
+    trajectory.
+    """
+    if n_samples < 1:
+        raise ConfigError(f"need at least one trajectory, got {n_samples}")
     if pool is None:
-        with ChunkPool(model, workers) as own:
-            results = own.run(tasks)
+        pool = ChunkPool(model, 1)
     elif pool.model is not model:
         raise ConfigError("the chunk pool was opened for a different model")
-    else:
-        results = pool.run(tasks)
+    tasks = [
+        (config, idx, min(CHUNK_SIZE, n_samples - idx * CHUNK_SIZE))
+        for idx in range((n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE)
+    ]
+    results = pool.run(tasks)
     samples = np.concatenate([r[0] for r in results])
     telemetry = StepTelemetry()
     for _, tel, _ in results:
         telemetry.merge(tel)
-    if collect_nfe:
-        parts = [r[2] for r in results]
-        nfe = np.concatenate(parts) if parts[0] is not None else None
-        return samples, telemetry, nfe
-    return samples, telemetry
+    nfe = None if results[0][2] is None else np.concatenate([r[2] for r in results])
+    return samples, telemetry, nfe

@@ -39,10 +39,6 @@ class NoiseSchedule:
         self._check_domain(t)
         return -np.log(1.0 - (1.0 - self.eps) * np.asarray(t, dtype=float))
 
-    def mask_probability(self, t):
-        """Probability that a coordinate is masked by time t: 1 - e^{-sigma_bar}."""
-        return -np.expm1(-self.sigma_bar(t))
-
     @staticmethod
     def _check_domain(t):
         t = np.asarray(t, dtype=float)
@@ -65,14 +61,6 @@ class TokenSequence:
         if np.any(tok < 0) or np.any(tok > self.vocab_size):
             raise DataError(f"tokens must lie in [0, {self.vocab_size}] (MASK = {self.vocab_size})")
         object.__setattr__(self, "tokens", tok)
-
-    @property
-    def mask_token(self) -> int:
-        return self.vocab_size
-
-    @property
-    def masked_positions(self) -> np.ndarray:
-        return np.nonzero(self.tokens == self.mask_token)[0]
 
 
 @dataclass(frozen=True)
@@ -115,14 +103,6 @@ def random_target_table(d: int, S: int, rng: np.random.Generator) -> TargetTable
     return TargetTable((w / w.sum()).reshape((S,) * d))
 
 
-def save_target_table(table: TargetTable, path) -> None:
-    flat = table.flat()
-    with open(path, "w") as fh:
-        fh.write(f"# d={table.d} S={table.S}\n")
-        for idx, p in enumerate(flat):
-            fh.write(f"{idx} {p:.17g}\n")
-
-
 def _parse_field(cast, text: str, line: str):
     try:
         return cast(text)
@@ -131,7 +111,12 @@ def _parse_field(cast, text: str, line: str):
 
 
 def load_target_table(path, d: int | None = None, S: int | None = None) -> TargetTable:
-    """Read an index/probability table; renormalizes small drift, rejects large."""
+    """Read an index/probability table; renormalizes small drift, rejects large.
+
+    A caller that fixes ``d`` and ``S`` gets a :class:`DataError` when the
+    file's ``# d=.. S=..`` header names another shape.
+    """
+    header = {}
     entries = {}
     with open(path) as fh:
         for line in fh:
@@ -140,17 +125,26 @@ def load_target_table(path, d: int | None = None, S: int | None = None) -> Targe
                 continue
             if line.startswith("#"):
                 for part in line[1:].split():
-                    if part.startswith("d="):
-                        d = _parse_field(int, part[2:], line)
-                    elif part.startswith("S="):
-                        S = _parse_field(int, part[2:], line)
+                    if part[:2] in ("d=", "S="):
+                        header[part[0]] = _parse_field(int, part[2:], line)
                 continue
             fields = line.split()
             if len(fields) != 2:
                 raise DataError(f"expected 'index probability' rows, got {line!r}")
             entries[_parse_field(int, fields[0], line)] = _parse_field(float, fields[1], line)
+    file_d, file_S = header.get("d", d), header.get("S", S)
+    if (d is not None and file_d != d) or (S is not None and file_S != S):
+        raise DataError(f"target file has shape d={file_d} S={file_S}, but this study needs d={d} S={S}")
+    d, S = file_d, file_S
     if d is None or S is None:
         raise DataError("table dimensions unknown; provide d and S or a '# d=.. S=..' header")
+    # past log2(cap) dimensions any S >= 2 overflows the cap, so S**d stays cheap
+    max_d = MAX_TABLE_CELLS.bit_length()
+    if not (1 <= d <= max_d and S >= 1 and S**d <= MAX_TABLE_CELLS):
+        raise DataError(
+            f"table shape d={d} S={S} is out of range: need 1 <= d <= {max_d}, S >= 1 "
+            f"and S**d <= {MAX_TABLE_CELLS} cells"
+        )
     flat = np.zeros(S**d)
     for idx, p in entries.items():
         if not (0 <= idx < flat.size):
@@ -196,15 +190,3 @@ class ConditionalOracle:
         for l in np.nonzero(~mask)[0]:
             out[l, int(tokens[l])] = 1.0
         return out
-
-
-def forward_mask_sample(
-    seq0: TokenSequence, sched: NoiseSchedule, t: float, rng: np.random.Generator
-) -> TokenSequence:
-    """Mask each token independently with probability 1 - e^{-sigma_bar(t)}."""
-    if seq0.masked_positions.size:
-        raise DataError("forward masking starts from a fully unmasked sequence")
-    p = float(sched.mask_probability(t))
-    tokens = seq0.tokens.copy()
-    tokens[rng.random(tokens.size) < p] = seq0.mask_token
-    return TokenSequence(tokens, seq0.vocab_size)

@@ -1,10 +1,8 @@
 """Statistical evaluation: empirical laws, KL divergence, bootstrap CIs,
 plug-in noise floor, and log-log convergence-order fits.
 
-KL against an empirical law with empty cells is reported as a flagged
-infinity rather than smoothed; an optional additive-smoothing mode exists
-but is off by default since the plug-in estimator is the quantity of
-interest here.
+KL against an empirical law with empty cells is reported as infinity, not
+smoothed away: the plug-in estimator is the quantity of interest here.
 """
 
 from __future__ import annotations
@@ -54,14 +52,9 @@ class KLReport:
     estimate: float
     ci_lo: float
     ci_hi: float
-    level: float
     n_resamples: int
     n_samples: int
     n_infinite_resamples: int = 0
-
-    @property
-    def has_infinite_resamples(self) -> bool:
-        return self.n_infinite_resamples > 0
 
 
 @dataclass(frozen=True)
@@ -96,19 +89,15 @@ def _as_probs(q) -> np.ndarray:
     return np.asarray(q, dtype=float)
 
 
-def kl_divergence(p, q, smoothing: float = 0.0) -> float:
+def kl_divergence(p, q) -> float:
     """Plug-in KL divergence sum_i p_i log(p_i / q_i) in nats.
 
-    Returns inf when q lacks mass somewhere p has it.  ``smoothing`` adds
-    that many pseudo-counts per cell of q before normalizing (off by
-    default).
+    Returns inf when q lacks mass somewhere p has it.
     """
     pv = _as_probs(p)
     qv = _as_probs(q)
     if pv.shape != qv.shape:
         raise DataError(f"shape mismatch: {pv.shape} vs {qv.shape}")
-    if smoothing > 0.0:
-        qv = (qv + smoothing) / (1.0 + smoothing * qv.size)
     support = pv > 0.0
     if np.any(qv[support] == 0.0):
         return math.inf
@@ -162,7 +151,7 @@ def bootstrap_kl_ci(
     finite = np.isfinite(kls)
     n_inf = int(n_resamples - finite.sum())
     if not finite.any():
-        return KLReport(estimate, math.inf, math.inf, level, n_resamples, m, n_inf)
+        return KLReport(estimate, math.inf, math.inf, n_resamples, m, n_inf)
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(kls[finite], [tail, 1.0 - tail])
     # percentile intervals should bracket the plug-in estimate up to
@@ -174,7 +163,7 @@ def bootstrap_kl_ci(
             f"bootstrap interval [{lo:.6g}, {hi:.6g}] does not bracket the "
             f"estimate {estimate:.6g} within the resampling slack {slack:.3g}"
         )
-    return KLReport(estimate, float(lo), float(hi), level, n_resamples, m, n_inf)
+    return KLReport(estimate, float(lo), float(hi), n_resamples, m, n_inf)
 
 
 def fit_loglog_slope(points, min_steps: int | None = None) -> ConvergenceFit:

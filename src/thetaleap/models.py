@@ -39,14 +39,26 @@ class ToyUniformModel:
         self.n_coords = 1
         self.slots_per_coord = self.S
 
+    def _mixture(self, s):
+        """Weights (a, b) of the forward marginal p_t = a + b p0 at reverse time s.
+
+        With forward time t = T - s, a = (1 - e^-t) / S and b = e^-t.
+        """
+        decay = np.exp(-(self.horizon - np.asarray(s, dtype=float)))
+        return (1.0 - decay) / self.S, decay
+
+    def marginal(self, s) -> np.ndarray:
+        """Forward marginal at reverse time s, of shape ``np.shape(s) + (S,)``."""
+        base, decay = self._mixture(s)
+        return base[..., None] + decay[..., None] * self.p0.probs
+
     def total_bound(self, s_lo, s_hi):
         """Dominating total intensity over a window, elementwise for arrays.
 
         The total rate out of y is (1 - p(y)) / (S p(y)), maximized at the
         smallest marginal mass, which over the window occurs at s_hi.
         """
-        t = self.horizon - np.asarray(s_hi, dtype=float)
-        p_floor = (1.0 - np.exp(-t)) / self.S + np.exp(-t) * float(self.p0.probs.min())
+        p_floor = self.marginal(s_hi).min(axis=-1)
         if np.any(p_floor <= 0.0):
             raise ConfigError(
                 "target has a zero-mass state; run with an early stop delta > 0"
@@ -57,10 +69,8 @@ class ToyUniformModel:
         return rng.integers(0, self.S, size=m, dtype=np.int64)
 
     def rates_batch(self, s, states: np.ndarray) -> np.ndarray:
-        t = self.horizon - np.asarray(s, dtype=float)
-        decay = np.exp(-t)
-        if t.ndim == 0:
-            pt = (1.0 - decay) / self.S + decay * self.p0.probs
+        if np.ndim(s) == 0:
+            pt = self.marginal(s)
             if not pt.min() > 0.0:
                 raise SingularScoreError(
                     f"marginal at reverse time {float(s):.6g} has a zero-mass state; "
@@ -71,7 +81,7 @@ class ToyUniformModel:
             np.fill_diagonal(table, 0.0)
             return np.take(table, states, axis=0)
         # rank 2: r[i, v] = (base_i + decay_i p0[v]) / (S pt_i(y_i))
-        base = (1.0 - decay) / self.S
+        base, decay = self._mixture(s)
         inv_own = 1.0 / (self.S * (base + decay * self.p0.probs[states]))
         coef = np.stack([base * inv_own, decay * inv_own], axis=1)
         r = coef @ np.stack([np.ones(self.S), self.p0.probs])
@@ -91,10 +101,11 @@ class MaskedToyModel:
 
     Reverse time s maps to forward time t = horizon - s.  Only MASK -> token
     jumps carry rate: the reverse edge of token -> MASK masking, weighted by
-    the exact score factors.  Sampling starts from the all-MASK sequence;
-    any position still masked when the grid ends is filled from the exact
-    conditional given the unmasked portion (a conditionally unbiased
-    completion, counted separately from stepping NFE).
+    the exact score factors.  States hold tokens 0..S-1 and MASK, encoded
+    as S.  Sampling starts from the all-MASK sequence; any position still
+    masked when the grid ends is filled from the exact conditional given
+    the unmasked portion (a conditionally unbiased completion, counted
+    separately from stepping NFE).
     """
 
     def __init__(self, table: TargetTable, schedule: NoiseSchedule | None = None, horizon: float = 1.0):
@@ -103,7 +114,6 @@ class MaskedToyModel:
         self.horizon = horizon
         self.d = table.d
         self.S = table.S
-        self.mask_token = self.S
         self.oracle = ConditionalOracle(table)
         # smallest signed type that holds every token and MASK (= S)
         self._dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= self.S)
@@ -150,7 +160,7 @@ class MaskedToyModel:
         )
 
     def sample_q0_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.full((m, self.d), self.mask_token, dtype=self._dtype)
+        return np.full((m, self.d), self.S, dtype=self._dtype)
 
     def rates_batch(self, s, states: np.ndarray) -> np.ndarray:
         codes = states.astype(np.int64) @ self._ctx_pow
@@ -168,7 +178,7 @@ class MaskedToyModel:
     def finalize_batch(self, states, rng: np.random.Generator, tel) -> np.ndarray:
         states = states.copy()
         for _ in range(self.d):
-            masked = states == self.mask_token
+            masked = states == self.S
             rows = np.nonzero(masked.any(axis=1))[0]
             if rows.size == 0:
                 break
@@ -184,6 +194,6 @@ class MaskedToyModel:
         return states
 
     def encode(self, states: np.ndarray) -> np.ndarray:
-        if np.any(states == self.mask_token):
+        if np.any(states == self.S):
             raise ConfigError("cannot encode sequences that still contain MASK")
         return states.astype(np.int64) @ self._enc_pow

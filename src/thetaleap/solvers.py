@@ -4,27 +4,25 @@ Five methods are available: Euler (linearized categorical), tau-leaping,
 uniformization (exact via thinning), and the two-stage theta-RK-2 and
 theta-Trapezoidal schemes.  This module holds what describes a run (the
 time grid, the extrapolation weights, :class:`SolverConfig`) and what it
-reports (:class:`StepTelemetry`); :func:`run_sampler` hands the run to the
-batched engine in :mod:`thetaleap.engine`, which implements every scheme.
+reports (:class:`StepTelemetry`); :func:`thetaleap.engine.run_sampler` runs
+it, and the engine implements every scheme.
 
 Jump bookkeeping: a drawn update is rejected outright if any coordinate
 draws more than one jump, which keeps every accepted update well-posed.
-Extrapolated intensities are clamped at zero by default; clamping events are
-counted so the positive fraction can be reported.
+Extrapolated intensities are clamped at zero; clamping events are counted
+so the positive fraction can be reported.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
 
 METHODS = ("euler", "tau-leaping", "uniformization", "theta-rk2", "theta-trapezoidal")
-CLAMP_AT_ZERO = "clamp-at-zero"
-ERROR_ON_NEGATIVE = "error-on-negative"
 
 # Relative slack when checking a dominating bound against observed totals.
 BOUND_RTOL = 1e-9
@@ -40,8 +38,6 @@ class TimeGrid:
 
     points: np.ndarray
     theta: float
-    horizon: float
-    early_stop: float
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -66,11 +62,6 @@ class TimeGrid:
     def rho(self) -> np.ndarray:
         return self.points[:-1] + self.theta * self.deltas
 
-    @property
-    def kappa(self) -> float:
-        """Largest step size."""
-        return float(self.deltas.max())
-
 
 def make_time_grid(T: float, delta: float, N: int, theta: float) -> TimeGrid:
     """Uniform grid over [0, T - delta] with N steps and theta-section points."""
@@ -80,7 +71,7 @@ def make_time_grid(T: float, delta: float, N: int, theta: float) -> TimeGrid:
         raise ConfigError(f"need at least one step, got N={N}")
     if not (0.0 < theta <= 1.0):
         raise ConfigError(f"theta must lie in (0, 1], got {theta}")
-    return TimeGrid(np.linspace(0.0, T - delta, N + 1), theta, T, delta)
+    return TimeGrid(np.linspace(0.0, T - delta, N + 1), theta)
 
 
 def alpha_coefficients(theta: float) -> tuple[float, float]:
@@ -129,13 +120,9 @@ class StepTelemetry:
         return self.rejected_steps / self.attempted_updates
 
     def merge(self, other: "StepTelemetry") -> None:
-        self.nfe += other.nfe
-        self.rejected_steps += other.rejected_steps
-        self.negative_intensity_events += other.negative_intensity_events
-        self.total_intensity_terms += other.total_intensity_terms
-        self.attempted_updates += other.attempted_updates
-        self.drawn_jumps += other.drawn_jumps
-        self.final_fill_evals += other.final_fill_evals
+        """Add every counter of ``other`` to this one."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass(frozen=True)
@@ -145,13 +132,10 @@ class SolverConfig:
     method: str
     grid: TimeGrid
     seed: int
-    clamp_policy: str = CLAMP_AT_ZERO
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.clamp_policy not in (CLAMP_AT_ZERO, ERROR_ON_NEGATIVE):
-            raise ConfigError(f"unknown clamp policy {self.clamp_policy!r}")
         theta = self.grid.theta
         if self.method == "theta-trapezoidal" and not (0.0 < theta < 1.0):
             raise ConfigError(
@@ -165,28 +149,3 @@ class SolverConfig:
                 # past __post_init__ and the dataclass __init__ to the caller
                 stacklevel=3,
             )
-
-
-def run_sampler(
-    config: SolverConfig, model, n_samples: int, workers: int = 1, collect_nfe: bool = False, pool=None
-):
-    """Sample ``n_samples`` independent trajectories through the grid.
-
-    Results are bit-reproducible from (seed, n_samples) alone: randomness is
-    keyed by fixed-size trajectory chunks, so the worker count only affects
-    wall time.  ``pool`` is an open :class:`thetaleap.engine.ChunkPool` for
-    ``model``, which a sweep keeps across its cells and which then sets the
-    worker count; without one, a call with ``workers > 1`` and more than one
-    chunk opens a pool of its own and joins its workers before returning.
-    Either way the model is sent once to each worker, not with every chunk.
-    Returns ``(samples, telemetry)``; with ``collect_nfe`` a third
-    item holds per-trajectory NFE counts for uniformization and ``None`` for
-    the stepping methods, whose NFE is the same for every trajectory.
-    """
-    from . import engine
-
-    if n_samples < 1:
-        raise ConfigError(f"need at least one trajectory, got {n_samples}")
-    return engine.run_batches(
-        config, model, n_samples, workers=workers, collect_nfe=collect_nfe, pool=pool
-    )

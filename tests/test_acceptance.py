@@ -19,7 +19,8 @@ from scipy import stats
 
 from thetaleap.cli import COMMANDS, build_config, cmd_masked_converge, cmd_toy_converge, main
 from thetaleap.metrics import fit_loglog_slope, noise_floor
-from thetaleap.solvers import SolverConfig, make_time_grid, run_sampler
+from thetaleap.engine import run_sampler
+from thetaleap.solvers import SolverConfig, make_time_grid
 
 from tiny_models import ConstantRates, drawn_per_trajectory, record_poisson
 
@@ -147,7 +148,7 @@ def test_criterion_6_homogeneous_intensity_is_poisson(monkeypatch):
 
     draws = record_poisson(monkeypatch)
     config = SolverConfig("theta-trapezoidal", make_time_grid(dt, 0.0, 1, theta), seed=2024)
-    _, tel = run_sampler(config, ConstantRates([[mu]]), n_draws)
+    _, tel, _ = run_sampler(config, ConstantRates([[mu]]), n_draws)
     counts = drawn_per_trajectory(draws)
     assert counts.size == n_draws and counts.sum() == tel.drawn_jumps
     observed = np.bincount(counts)

@@ -3,8 +3,11 @@ import math
 import multiprocessing
 import pickle
 import re
+import subprocess
+import sys
 
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from thetaleap.cli import (
     parse_results,
 )
 from thetaleap.engine import CHUNK_SIZE
-from thetaleap.errors import ConfigError
+from thetaleap.errors import ConfigError, DataError
 from thetaleap.solvers import SolverConfig
 
 
@@ -54,6 +57,10 @@ def test_emit_empty_table_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_results([], path, "csv")
     assert path.read_text() == CSV_HEADER + "\n"
+    assert parse_results(path) == []
+    path.write_text("")
+    with pytest.raises(DataError):
+        parse_results(path)
 
 
 def test_csv_floats_have_17_significant_digits(tmp_path):
@@ -279,6 +286,22 @@ def test_cli_target_file_roundtrip(tmp_path):
     assert parse_results(out)[0].kl < 20 * 14 / (2 * 5000)
 
 
+def test_cli_toy_target_file_of_another_shape_fails_before_sampling(tmp_path, monkeypatch, capsys):
+    # the toy fixes d=1 and S=15, so a 16-cell d=2 S=4 table is refused up front
+    calls = []
+    monkeypatch.setattr(cli, "run_sampler", lambda *a, **k: calls.append(a))
+    path = tmp_path / "p0.txt"
+    path.write_text("# d=2 S=4\n" + "".join(f"{i} 0.0625\n" for i in range(16)))
+    code = main(
+        ["toy-converge", "--samples", "1000", "--steps", "4", "--method", "tau-leaping",
+         "--bootstrap", "10", "--target-file", str(path), "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "d=2 S=4" in err and "d=1 S=15" in err
+
+
 def test_cli_exit_code_numerical_error(tmp_path):
     # Euler with a 3-unit step: transition probabilities exceed one
     code = main(
@@ -355,7 +378,7 @@ def test_cli_sweep_runs_on_one_pool_and_tasks_carry_no_model(tmp_path, pool_log)
     pools, tasks = pool_log
     assert _toy_sweep(tmp_path, CHUNK_SIZE + 100, workers=2) == 0
     assert len(pools) == 1
-    assert [task[1:] for task in tasks] == [(0, CHUNK_SIZE, True), (1, 100, True)] * 2
+    assert [task[1:] for task in tasks] == [(0, CHUNK_SIZE), (1, 100)] * 2
     for task in tasks:
         assert isinstance(task[0], SolverConfig)
         assert b"ToyUniformModel" not in pickle.dumps(task)
@@ -365,6 +388,17 @@ def test_cli_sweep_runs_on_one_pool_and_tasks_carry_no_model(tmp_path, pool_log)
 def test_cli_serial_or_single_chunk_sweep_starts_no_pool(tmp_path, pool_log, samples, workers):
     assert _toy_sweep(tmp_path, samples, workers) == 0
     assert pool_log[0] == []
+
+
+def test_package_and_cli_import_numpy_but_not_scipy():
+    # numpy is the only runtime dependency, although the tests use scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import thetaleap, thetaleap.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_workers_env_default(monkeypatch):

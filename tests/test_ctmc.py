@@ -1,42 +1,73 @@
+"""Probability vectors, and the toy's forward marginal and reverse rates.
+
+The marginal is checked against ``scipy.linalg.expm`` of the uniform
+all-to-all generator, built here independently of the library.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from thetaleap.ctmc import (
-    ProbabilityVector,
-    RateMatrix,
-    build_uniform_rate_matrix,
-    forward_marginal_closed,
-    forward_marginal_general,
-)
-from thetaleap.errors import ConfigError, SingularScoreError
+from thetaleap.ctmc import ProbabilityVector
+from thetaleap.engine import run_sampler
+from thetaleap.errors import ConfigError, DataError, SingularScoreError
+from thetaleap.masked import load_target_table
 from thetaleap.models import ToyUniformModel
-from thetaleap.solvers import SolverConfig, make_time_grid, run_sampler
+from thetaleap.solvers import SolverConfig, make_time_grid
 
 from kernel_oracle import toy_reverse_rates, two_state_marginal
 
 
+def _generator(S):
+    """Uniform all-to-all generator (1/S) E - I; entry (y, x) is the rate from x to y."""
+    return np.full((S, S), 1.0 / S) - np.eye(S)
+
+
+def _toy(probs, horizon=1.0):
+    return ToyUniformModel(ProbabilityVector(np.asarray(probs, dtype=float)), horizon=horizon)
+
+
+def _point_mass(S, x=0):
+    p = np.zeros(S)
+    p[x] = 1.0
+    return p
+
+
+def _rate_of_change(model, h=1e-7):
+    """d p_t / dt at forward time t = 0, one-sided over a step of h."""
+    return (model.marginal(model.horizon - h) - model.p0.probs) / h
+
+
+# the uniform generator, seen through the rate of change of the marginal at t = 0
+
+
 def test_uniform_rate_matrix_s2():
-    q = build_uniform_rate_matrix(2).entries
-    assert q[0, 1] == q[1, 0] == 0.5
-    assert q[0, 0] == q[1, 1] == -0.5
+    # from a point mass on state 0, mass leaves at rate 1/2 and arrives at rate 1/2
+    assert np.allclose(_rate_of_change(_toy(_point_mass(2))), [-0.5, 0.5], atol=1e-6)
 
 
 def test_uniform_rate_matrix_s15_diagonal():
-    q = build_uniform_rate_matrix(15).entries
-    assert np.allclose(np.diag(q), 1 / 15 - 1)
+    assert abs(_rate_of_change(_toy(_point_mass(15, 4)))[4] - (1 / 15 - 1)) < 1e-6
 
 
 def test_uniform_rate_matrix_columns_sum_to_zero():
+    # columns of the generator sum to zero: the marginal keeps unit mass
+    rng = np.random.default_rng(2)
     for S in (2, 3, 7, 40):
-        q = build_uniform_rate_matrix(S).entries
-        assert np.abs(q.sum(axis=0)).max() < 1e-12
+        w = rng.random(S)
+        model = _toy(w / w.sum(), horizon=12.0)
+        assert np.abs(model.marginal(np.linspace(0.0, 12.0, 9)).sum(axis=1) - 1.0).max() < 1e-12
 
 
-def test_uniform_rate_matrix_rejects_small_s():
+def test_uniform_rate_matrix_rejects_small_s(tmp_path):
     with pytest.raises(ConfigError):
-        build_uniform_rate_matrix(1)
+        ProbabilityVector(np.array([]))
+    path = tmp_path / "t.txt"
+    path.write_text("# d=1 S=0\n")
+    with pytest.raises(DataError):
+        load_target_table(path)
 
 
 def test_probability_vector_validation():
@@ -46,43 +77,52 @@ def test_probability_vector_validation():
         ProbabilityVector(np.array([-0.1, 1.1]))
 
 
+def _reverse_generator(model, s):
+    """The toy's reverse rates with the diagonal set to minus each row's total."""
+    g = model.rates_batch(s, np.arange(model.S))
+    return g - np.diag(g.sum(axis=1))
+
+
 def test_rate_matrix_validation():
-    with pytest.raises(ConfigError):
-        RateMatrix(np.array([[0.5, 0.2], [0.5, -0.3]]))  # columns do not sum to 0
-    with pytest.raises(ConfigError):
-        RateMatrix(np.array([[-1.0, -0.5], [1.0, 0.5]]))  # negative off-diagonal
+    # the reverse rates are a valid generator: nonnegative jump rates, no
+    # self-jumps, rows summing to zero once the diagonal holds the exit rate
+    model = _toy([0.5, 0.3, 0.2 - 1e-9, 1e-9], horizon=3.0)
+    for s in (0.0, 1.5, 2.9, 3.0):
+        rates = model.rates_batch(s, np.arange(4))
+        assert np.all(rates >= 0.0) and np.all(np.diag(rates) == 0.0)
+        assert np.abs(_reverse_generator(model, s).sum(axis=1)).max() < 1e-9 * rates.max()
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
 def test_random_rate_matrix_construction_properties(S, seed):
+    # the reverse generator carries the marginal backward in time:
+    # p_{T-s} G(s) = d/ds p_{T-s} = p_{T-s} - 1/S
     rng = np.random.default_rng(seed)
-    off = rng.random((S, S))
-    np.fill_diagonal(off, 0.0)
-    q = off.copy()
-    q[np.arange(S), np.arange(S)] = -off.sum(axis=0)
-    rm = RateMatrix(q)
-    assert np.abs(rm.entries.sum(axis=0)).max() < 1e-12
-    hollow = rm.off_diagonal()
-    assert hollow.min() >= 0
+    w = rng.random(S) + 1e-3
+    model = _toy(w / w.sum(), horizon=2.0)
+    s = rng.uniform(0.0, 2.0)
+    p = model.marginal(s)
+    assert np.abs(p @ _reverse_generator(model, s) - (p - 1.0 / S)).max() < 1e-12
+
+
+# the closed-form marginal
 
 
 def test_closed_marginal_t_zero_identity():
-    p0 = ProbabilityVector(np.array([0.3, 0.2, 0.5]))
-    assert np.array_equal(forward_marginal_closed(p0, 0.0).probs, p0.probs)
+    model = _toy([0.3, 0.2, 0.5], horizon=4.0)
+    assert np.array_equal(model.marginal(4.0), model.p0.probs)
 
 
 def test_closed_marginal_uniform_fixed_point():
-    p0 = ProbabilityVector(np.full(15, 1 / 15))
+    model = _toy(np.full(15, 1 / 15), horizon=60.0)
     for t in (0.5, 3.0, 50.0):
-        assert np.abs(forward_marginal_closed(p0, t).probs - 1 / 15).max() < 1e-15
+        assert np.abs(model.marginal(60.0 - t) - 1 / 15).max() < 1e-15
 
 
 def test_closed_marginal_point_mass_t12():
     # direct evaluation of the closed form for p0 = delta_0, S = 15
-    p0 = np.zeros(15)
-    p0[0] = 1.0
-    out = forward_marginal_closed(ProbabilityVector(p0), 12.0).probs
+    out = _toy(_point_mass(15), horizon=12.0).marginal(0.0)
     expected_peak = (1 - np.exp(-12.0)) / 15 + np.exp(-12.0)
     expected_rest = (1 - np.exp(-12.0)) / 15
     assert abs(out[0] - expected_peak) < 1e-15
@@ -90,61 +130,55 @@ def test_closed_marginal_point_mass_t12():
 
 
 def test_closed_marginal_rejects_negative_time():
-    p0 = ProbabilityVector(np.array([1.0, 0.0]))
+    # the sampler never asks for a negative forward time: neither the model
+    # nor the grid reaches past the horizon
     with pytest.raises(ConfigError):
-        forward_marginal_closed(p0, -0.1)
+        _toy([1.0, 0.0], horizon=-0.1)
+    with pytest.raises(ConfigError):
+        make_time_grid(1.0, -0.1, 4, 0.5)
 
 
 def test_general_marginal_identity_at_t_zero():
-    p0 = ProbabilityVector(np.array([0.25, 0.75]))
-    q = build_uniform_rate_matrix(2)
-    assert np.abs(forward_marginal_general(p0, q, 0.0).probs - p0.probs).max() < 1e-15
+    model = _toy([0.25, 0.75])
+    want = expm(0.0 * _generator(2)) @ model.p0.probs
+    assert np.abs(model.marginal(1.0) - want).max() < 1e-15
 
 
 def test_general_marginal_matches_closed_form_uniform_toy():
     rng = np.random.default_rng(7)
     w = rng.random(15)
-    p0 = ProbabilityVector(w / w.sum())
-    q = build_uniform_rate_matrix(15)
+    model = _toy(w / w.sum(), horizon=12.0)
     for t in (0.1, 1.0, 12.0):
-        a = forward_marginal_closed(p0, t).probs
-        b = forward_marginal_general(p0, q, t).probs
-        assert np.abs(a - b).max() < 1e-10
+        want = expm(t * _generator(15)) @ model.p0.probs
+        assert np.abs(model.marginal(12.0 - t) - want).max() < 1e-10
 
 
 def test_general_marginal_matches_two_state_eigen_solution():
-    a, b = 0.7, 0.4  # rates 0->1 and 1->0
-    q = RateMatrix(np.array([[-a, b], [a, -b]]))
-    p0 = ProbabilityVector(np.array([0.9, 0.1]))
+    # on two states the uniform generator is the chain with rates 1/2 each way
+    model = _toy([0.9, 0.1], horizon=5.0)
     for t in (0.2, 1.0, 5.0):
-        got = forward_marginal_general(p0, q, t).probs
-        want = two_state_marginal(0.9, a, b, t)
-        assert np.abs(got - want).max() < 1e-10
+        want = two_state_marginal(0.9, 0.5, 0.5, t)
+        assert np.abs(model.marginal(5.0 - t) - want).max() < 1e-12
+        assert np.abs(expm(t * _generator(2)) @ model.p0.probs - want).max() < 1e-12
 
 
 def test_semigroup_property_random_generators():
+    # evolving for t and then for u is evolving for t + u, checked against
+    # expm at the same forward times
     rng = np.random.default_rng(11)
     for _ in range(10):
         S = int(rng.integers(2, 6))
-        off = rng.random((S, S)) * 0.5
-        np.fill_diagonal(off, 0.0)
-        q = off.copy()
-        q[np.arange(S), np.arange(S)] = -off.sum(axis=0)
-        Q = RateMatrix(q)
         w = rng.random(S)
-        p0 = ProbabilityVector(w / w.sum())
-        s, t = rng.random() * 2, rng.random() * 2
-        direct = forward_marginal_general(p0, Q, s + t).probs
-        chained = forward_marginal_general(forward_marginal_general(p0, Q, s), Q, t).probs
-        assert np.abs(direct - chained).max() < 1e-9
+        model = _toy(w / w.sum(), horizon=4.0)
+        t, u = rng.random() * 2, rng.random() * 2
+        direct = model.marginal(4.0 - (t + u))
+        chained = _toy(model.marginal(4.0 - t), horizon=4.0).marginal(4.0 - u)
+        assert np.abs(direct - chained).max() < 1e-12
+        assert np.abs(direct - expm((t + u) * _generator(S)) @ model.p0.probs).max() < 1e-10
 
 
 # score ratios and reverse intensities, as computed by ToyUniformModel.rates_batch:
 # the rate from y to w at reverse time s is p_t(w) / (S p_t(y)) with t = T - s
-
-
-def _toy(probs, horizon=1.0):
-    return ToyUniformModel(ProbabilityVector(np.asarray(probs, dtype=float)), horizon=horizon)
 
 
 def _all_rows(model, s):
@@ -235,5 +269,5 @@ def test_total_intensity():
     rng = np.random.default_rng(8)
     w = rng.random(6) + 1e-3
     model = _toy(w / w.sum())
-    p = forward_marginal_closed(model.p0, 1.0 - 0.4).probs
+    p = model.marginal(0.4)
     assert np.allclose(_all_rows(model, 0.4).sum(axis=1), (1 - p) / (6 * p), rtol=1e-12)

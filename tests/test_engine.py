@@ -6,11 +6,11 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from thetaleap.engine import CHUNK_SIZE, ChunkPool, substream
+from thetaleap.engine import CHUNK_SIZE, ChunkPool, run_sampler, substream
 from thetaleap.errors import ConfigError, StepSizeError
 from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
 from thetaleap.models import ToyUniformModel, sample_simplex
-from thetaleap.solvers import SolverConfig, make_time_grid, run_sampler
+from thetaleap.solvers import SolverConfig, make_time_grid
 
 from kernel_oracle import exact_scheme_distribution
 
@@ -29,7 +29,7 @@ def test_batch_sampler_matches_exact_scheme_kernel(toy, method):
     # scheme's exact terminal law computed by kernel composition
     n_steps, m = 8, 120_000
     grid = make_time_grid(HORIZON, 0.0, n_steps, 0.5)
-    samples, tel = run_sampler(SolverConfig(method, grid, seed=5), toy, m)
+    samples, _, _ = run_sampler(SolverConfig(method, grid, seed=5), toy, m)
     exact = exact_scheme_distribution(method, toy.p0.probs, HORIZON, n_steps, 0.5)
     emp = empirical_distribution(samples, 15)
     kl = kl_divergence(exact, emp)
@@ -40,19 +40,25 @@ def test_worker_count_does_not_change_samples(toy):
     grid = make_time_grid(HORIZON, 0.0, 4, 0.5)
     cfg = SolverConfig("theta-trapezoidal", grid, seed=9)
     m = CHUNK_SIZE + 1000  # force two chunks
-    s1, t1 = run_sampler(cfg, toy, m, workers=1)
-    s2, t2 = run_sampler(cfg, toy, m, workers=2)
+    s1, t1, _ = run_sampler(cfg, toy, m)
+    with ChunkPool(toy, 2) as pool:
+        s2, t2, _ = run_sampler(cfg, toy, m, pool=pool)
     assert np.array_equal(s1, s2)
     assert t1.nfe == t2.nfe and t1.rejected_steps == t2.rejected_steps
     assert t1.negative_intensity_events == t2.negative_intensity_events
 
 
 def test_run_sampler_without_a_pool_opens_and_joins_its_own(toy, pool_log):
+    # without a pool every chunk runs in this process; a pool of two workers
+    # gets one task per chunk and joins them when its block ends
     pools, tasks = pool_log
     cfg = SolverConfig("tau-leaping", make_time_grid(HORIZON, 0.0, 2, 0.5), seed=9)
-    run_sampler(cfg, toy, CHUNK_SIZE + 10, workers=2)
+    run_sampler(cfg, toy, CHUNK_SIZE + 10)
+    assert pools == [] and tasks == []
+    with ChunkPool(toy, 2) as pool:
+        run_sampler(cfg, toy, CHUNK_SIZE + 10, pool=pool)
     assert len(pools) == 1
-    assert [task[1:] for task in tasks] == [(0, CHUNK_SIZE, False), (1, 10, False)]
+    assert [task[1:] for task in tasks] == [(0, CHUNK_SIZE), (1, 10)]
     assert multiprocessing.active_children() == []
 
 
@@ -67,7 +73,7 @@ def test_nfe_accounting(toy):
     m = 5000
     for method, per_step in (("tau-leaping", 1), ("theta-rk2", 2), ("theta-trapezoidal", 2)):
         grid = make_time_grid(HORIZON, 0.0, 6, 0.5)
-        _, tel = run_sampler(SolverConfig(method, grid, seed=1), toy, m)
+        _, tel, _ = run_sampler(SolverConfig(method, grid, seed=1), toy, m)
         assert tel.nfe == per_step * 6 * m
 
 
@@ -75,7 +81,7 @@ def test_rejection_fraction_decreases_with_steps(toy):
     fracs = []
     for n_steps in (8, 16, 32, 64, 128):
         grid = make_time_grid(HORIZON, 0.0, n_steps, 0.5)
-        _, tel = run_sampler(SolverConfig("theta-trapezoidal", grid, seed=2), toy, 50_000)
+        _, tel, _ = run_sampler(SolverConfig("theta-trapezoidal", grid, seed=2), toy, 50_000)
         fracs.append(tel.rejection_fraction)
     assert all(a > b for a, b in zip(fracs, fracs[1:]))
 
@@ -90,7 +96,7 @@ def test_uniformity_preservation(toy):
     for method in ("euler", "tau-leaping", "theta-rk2", "theta-trapezoidal", "uniformization"):
         n_steps = 16 if method == "euler" else 8
         grid = make_time_grid(HORIZON, 0.0, n_steps, 0.5)
-        samples, _ = run_sampler(SolverConfig(method, grid, seed=3), uniform_model, m)
+        samples, _, _ = run_sampler(SolverConfig(method, grid, seed=3), uniform_model, m)
         freqs = empirical_distribution(samples, 15).frequencies
         assert np.abs(freqs - 1 / 15).max() < 5 * np.sqrt((1 / 15) * (14 / 15) / m)
 
@@ -104,9 +110,7 @@ def test_euler_batch_step_size_error(toy):
 def test_exact_sampler_distribution(toy):
     # uniformization reproduces the target at the estimator's noise floor
     grid = make_time_grid(HORIZON, 0.0, 32, 0.5)
-    samples, tel, nfe = run_sampler(
-        SolverConfig("uniformization", grid, seed=6), toy, 150_000, collect_nfe=True
-    )
+    samples, tel, nfe = run_sampler(SolverConfig("uniformization", grid, seed=6), toy, 150_000)
     kl = kl_divergence(toy.p0, empirical_distribution(samples, 15))
     assert kl < 5 * noise_floor(150_000, 15)
     assert nfe.var() > 0  # jump counts fluctuate across trajectories

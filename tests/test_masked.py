@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from thetaleap.engine import run_sampler
 from thetaleap.errors import ConfigError, DataError, SingularScoreError, UnreachableContextError
 from thetaleap.masked import (
+    MAX_TABLE_CELLS,
     ConditionalOracle,
     NoiseSchedule,
     TargetTable,
     TokenSequence,
-    forward_mask_sample,
     load_target_table,
     random_target_table,
-    save_target_table,
 )
 from thetaleap.models import MaskedToyModel
+from thetaleap.solvers import SolverConfig, StepTelemetry, make_time_grid
 
 from kernel_oracle import brute_force_conditionals
 
@@ -102,48 +103,70 @@ def test_prefactor_strictly_decreasing(model):
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-# forward masking
+# forward masking, seen from the reverse sampler: the exact reverse process
+# at forward time t has the masked positions of forward masking, each masked
+# independently with probability 1 - e^{-sigma_bar(t)}.  A fine
+# theta-trapezoidal grid from the all-MASK start (forward time 1, where
+# forward masking has masked 1 - eps of the positions) that stops at forward
+# time delta leaves exactly those positions to the final fill.
 
 
-def test_forward_mask_t_zero_unchanged(sched):
-    seq = TokenSequence(np.array([0, 1, 2, 3]), 4)
-    out = forward_mask_sample(seq, sched, 0.0, np.random.default_rng(0))
-    assert np.array_equal(out.tokens, seq.tokens)
+def _mask_probability(sched, t):
+    return float(-np.expm1(-sched.sigma_bar(t)))
+
+
+def _masked_counts_at_grid_end(model, delta, m, seed):
+    """Per-trajectory counts of masked positions handed to the final fill, and the telemetry."""
+    counts = []
+    fill = model.finalize_batch
+
+    def recording_fill(states, rng, tel):
+        counts.append((states == model.S).sum(axis=1))
+        return fill(states, rng, tel)
+
+    model.finalize_batch = recording_fill
+    grid = make_time_grid(1.0, delta, 128, 0.5)
+    _, tel, _ = run_sampler(SolverConfig("theta-trapezoidal", grid, seed), model, m)
+    return np.concatenate(counts), tel
+
+
+def test_forward_mask_t_zero_unchanged(sched, model):
+    # at forward time 0 nothing is masked, and the final fill leaves an
+    # unmasked sequence as it is
+    assert _mask_probability(sched, 0.0) == 0.0
+    states = np.array([[0, 1], [2, 2]], dtype=np.int8)
+    tel = StepTelemetry()
+    out = model.finalize_batch(states, np.random.default_rng(0), tel)
+    assert np.array_equal(out, states) and tel.final_fill_evals == 0
 
 
 def test_forward_mask_fraction_matches_formula(sched):
-    t = 0.6
-    d, n = 8, 20_000
-    rng = np.random.default_rng(1)
-    seq = TokenSequence(np.zeros(d, dtype=int), 4)
-    masked = sum(
-        int((forward_mask_sample(seq, sched, t, rng).tokens == 4).sum()) for _ in range(n)
-    )
-    p = float(sched.mask_probability(t))
-    se = np.sqrt(p * (1 - p) / (n * d))
-    assert abs(masked / (n * d) - p) < 3 * se
+    delta, d, m = 0.5, 3, 20_000
+    model = MaskedToyModel(random_target_table(d, 4, np.random.default_rng(1)), sched)
+    counts, tel = _masked_counts_at_grid_end(model, delta, m, seed=1)
+    assert counts.sum() == tel.final_fill_evals
+    p = _mask_probability(sched, delta)
+    se = np.sqrt(p * (1 - p) / (m * d))
+    assert abs(tel.final_fill_evals / (m * d) - p) < 4 * se
 
 
 def test_forward_mask_count_is_binomial(sched):
-    t, d, n = 0.5, 6, 30_000
-    rng = np.random.default_rng(2)
-    seq = TokenSequence(np.zeros(d, dtype=int), 3)
-    counts = np.bincount(
-        [int((forward_mask_sample(seq, sched, t, rng).tokens == 3).sum()) for _ in range(n)],
-        minlength=d + 1,
-    )
-    p = float(sched.mask_probability(t))
-    expected = n * stats.binom.pmf(np.arange(d + 1), d, p)
+    delta, d, m = 0.5, 6, 20_000
+    model = MaskedToyModel(random_target_table(d, 3, np.random.default_rng(2)), sched)
+    counts, _ = _masked_counts_at_grid_end(model, delta, m, seed=2)
+    observed = np.bincount(counts, minlength=d + 1)
+    expected = m * stats.binom.pmf(np.arange(d + 1), d, _mask_probability(sched, delta))
     keep = expected >= 5
-    chi2 = ((counts[keep] - expected[keep]) ** 2 / expected[keep]).sum()
+    chi2 = ((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum()
     pval = stats.chi2.sf(chi2, keep.sum() - 1)
     assert pval > 0.001
 
 
-def test_forward_mask_requires_unmasked_input(sched):
-    seq = TokenSequence(np.array([0, 4, 1]), 4)
-    with pytest.raises(DataError):
-        forward_mask_sample(seq, sched, 0.3, np.random.default_rng(0))
+def test_forward_mask_requires_unmasked_input():
+    # a sequence holds tokens 0..S-1 and MASK (= S), nothing else
+    for tokens in ([0, 5, 1], [-1, 4, 1]):
+        with pytest.raises(DataError):
+            TokenSequence(np.array(tokens), 4)
 
 
 # target tables
@@ -159,7 +182,8 @@ def test_target_table_validation():
 def test_target_table_roundtrip(tmp_path):
     table = random_target_table(3, 4, np.random.default_rng(3))
     path = tmp_path / "table.txt"
-    save_target_table(table, path)
+    rows = "".join(f"{i} {p:.17g}\n" for i, p in enumerate(table.flat()))
+    path.write_text("# d=3 S=4\n" + rows)
     loaded = load_target_table(path)
     assert loaded.d == 3 and loaded.S == 4
     assert np.abs(loaded.probs - table.probs).max() < 1e-15
@@ -185,14 +209,24 @@ def test_target_table_load_rejects_large_drift(tmp_path):
         "# d=1 S=2\nzero 0.5\n1 0.5\n",  # non-integer index
         "# d=1 S=2\n0 half\n1 0.5\n",  # non-float probability
         "# d=x S=2\n0 0.5\n1 0.5\n",  # bad header
+        "# d=2 S=-3\n0 1.0\n",  # negative vocabulary
+        "# d=-1 S=3\n0 1.0\n",  # negative dimension
+        "# d=30 S=10\n0 1.0\n",  # 10**30 cells
+        "# d=21 S=1\n0 1.0\n",  # more dimensions than any table under the cap
     ],
-    ids=["index", "probability", "header"],
+    ids=["index", "probability", "header", "negative-S", "negative-d", "too-many-cells", "too-many-dims"],
 )
 def test_target_table_load_rejects_malformed_fields(tmp_path, text):
     path = tmp_path / "t.txt"
     path.write_text(text)
     with pytest.raises(DataError):
         load_target_table(path)
+
+
+def test_target_table_load_accepts_the_largest_table_under_the_cap(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("# d=6 S=10\n0 1.0\n")
+    assert load_target_table(path).probs.size == MAX_TABLE_CELLS
 
 
 # conditional oracle

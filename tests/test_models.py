@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from thetaleap.ctmc import ProbabilityVector, forward_marginal_closed
-from thetaleap.engine import substream
+from thetaleap.ctmc import ProbabilityVector
+from thetaleap.engine import CHUNK_SIZE, ChunkPool, run_sampler, substream
 from thetaleap.errors import ConfigError
 from thetaleap.masked import NoiseSchedule, random_target_table
 from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
 from thetaleap.models import MaskedToyModel, ToyUniformModel, sample_simplex
-from thetaleap.solvers import SolverConfig, make_time_grid, run_sampler
+from thetaleap.solvers import SolverConfig, StepTelemetry, make_time_grid
 
 from kernel_oracle import brute_force_conditionals, toy_reverse_rates
 
@@ -27,7 +27,7 @@ def test_sample_simplex_is_valid_distribution():
 def test_toy_scalar_rates_match_score_ratio(toy):
     # the rate of jumping from y to w is the score ratio p_t(w)/p_t(y) times 1/S
     s = 4.0
-    p = forward_marginal_closed(toy.p0, toy.horizon - s).probs
+    p = toy.marginal(s)
     row = toy.rates_batch(s, np.array([3]))[0]
     assert row[3] == 0.0 and np.count_nonzero(row) == 14
     for w in range(15):
@@ -131,8 +131,6 @@ def test_masked_finalize_fill_is_conditionally_exact():
     model = MaskedToyModel(table)
     m = 200_000
     states = model.sample_q0_batch(np.random.default_rng(1), m)
-    from thetaleap.solvers import StepTelemetry
-
     tel = StepTelemetry()
     filled = model.finalize_batch(states, np.random.default_rng(2), tel)
     assert not np.any(filled == 4)
@@ -163,7 +161,7 @@ def test_masked_reverse_consistency_medium_scale():
     target = ProbabilityVector(table.flat())
     m = 60_000
     grid = make_time_grid(1.0, 1e-3, 128, 0.5)
-    samples, tel = run_sampler(SolverConfig("theta-trapezoidal", grid, seed=8), model, m)
+    samples, _, _ = run_sampler(SolverConfig("theta-trapezoidal", grid, seed=8), model, m)
     kl = kl_divergence(target, empirical_distribution(samples, 64))
     assert kl < 3 * noise_floor(m, 64)
 
@@ -173,9 +171,8 @@ def test_masked_determinism_across_workers():
     model = MaskedToyModel(table)
     grid = make_time_grid(1.0, 1e-3, 8, 0.5)
     cfg = SolverConfig("theta-trapezoidal", grid, seed=11)
-    from thetaleap.engine import CHUNK_SIZE
-
     m = CHUNK_SIZE + 500
-    s1, _ = run_sampler(cfg, model, m, workers=1)
-    s2, _ = run_sampler(cfg, model, m, workers=2)
+    s1, _, _ = run_sampler(cfg, model, m)
+    with ChunkPool(model, 2) as pool:
+        s2, _, _ = run_sampler(cfg, model, m, pool=pool)
     assert np.array_equal(s1, s2)

@@ -1,6 +1,8 @@
 """Time grids, extrapolation weights and solver configuration, plus the
 pinned per-trajectory behaviour of every scheme, checked through
-:func:`run_sampler` on tiny constant-rate or time-switched batch models."""
+:func:`thetaleap.engine.run_sampler` on tiny constant-rate or time-switched batch models."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,13 +10,7 @@ from scipy import stats
 
 from thetaleap import engine
 from thetaleap.errors import BoundViolationError, ConfigError, NumericalError, StepSizeError
-from thetaleap.solvers import (
-    ERROR_ON_NEGATIVE,
-    SolverConfig,
-    alpha_coefficients,
-    make_time_grid,
-    run_sampler,
-)
+from thetaleap.solvers import SolverConfig, StepTelemetry, alpha_coefficients, make_time_grid
 
 from kernel_oracle import two_state_marginal
 from tiny_models import (
@@ -28,10 +24,10 @@ from tiny_models import (
 )
 
 
-def _sample(model, method, horizon, m, n_steps=1, theta=0.5, seed=0, **kwargs):
+def _sample(model, method, horizon, m, n_steps=1, theta=0.5, seed=0):
     """Run ``m`` trajectories of ``method`` over [0, horizon] in ``n_steps`` intervals."""
-    config = SolverConfig(method, make_time_grid(horizon, 0.0, n_steps, theta), seed, **kwargs)
-    return run_sampler(config, model, m, collect_nfe=method == "uniformization")
+    config = SolverConfig(method, make_time_grid(horizon, 0.0, n_steps, theta), seed)
+    return engine.run_sampler(config, model, m)
 
 
 # time grids
@@ -41,7 +37,7 @@ def test_make_time_grid_arithmetic_example():
     g = make_time_grid(12.0, 0.0, 4, 0.5)
     assert np.array_equal(g.points, [0.0, 3.0, 6.0, 9.0, 12.0])
     assert np.array_equal(g.rho, [1.5, 4.5, 7.5, 10.5])
-    assert g.kappa == 3.0
+    assert np.array_equal(g.deltas, [3.0, 3.0, 3.0, 3.0])
 
 
 def test_make_time_grid_theta_one_sections_at_right_endpoint():
@@ -96,7 +92,7 @@ def test_alpha_rejects_endpoints():
 
 
 def test_tau_leap_zero_rates_never_moves():
-    samples, tel = _sample(ConstantRates([[0.0, 0.0]]), "tau-leaping", 0.5, 1000, seed=1)
+    samples, tel, _ = _sample(ConstantRates([[0.0, 0.0]]), "tau-leaping", 0.5, 1000, seed=1)
     assert np.all(samples == 0) and tel.rejected_steps == 0 and tel.drawn_jumps == 0
 
 
@@ -104,7 +100,7 @@ def test_tau_leap_single_jump_probabilities():
     # P(applied) = lam*e^-lam, P(reject) = 1 - e^-lam (1+lam) at lam = 0.1
     lam = 0.1
     n = 200_000
-    samples, tel = _sample(ConstantRates([[0.0, 1.0]]), "tau-leaping", lam, n, seed=2)
+    samples, tel, _ = _sample(ConstantRates([[0.0, 1.0]]), "tau-leaping", lam, n, seed=2)
     p_apply = lam * np.exp(-lam)
     p_reject = 1 - np.exp(-lam) * (1 + lam)
     for freq, p in (((samples == 1).mean(), p_apply), (tel.rejected_steps / n, p_reject)):
@@ -115,7 +111,7 @@ def test_tau_leap_single_jump_probabilities():
 def test_tau_leap_rejects_multijump_per_coordinate():
     # two jump slots on one coordinate with enormous rates: always >= 2 draws
     m = 1000
-    samples, tel = _sample(ConstantRates([[0.0, 50.0, 50.0]]), "tau-leaping", 1.0, m, seed=3)
+    samples, tel, _ = _sample(ConstantRates([[0.0, 50.0, 50.0]]), "tau-leaping", 1.0, m, seed=3)
     assert np.all(samples == 0) and tel.rejected_steps == m
 
 
@@ -124,7 +120,7 @@ def test_tau_leap_applies_at_most_one_jump_per_coordinate(monkeypatch):
     # coordinate stays put, any other row moves exactly its drawn coordinates
     draws = record_poisson(monkeypatch)
     m = 500
-    samples, tel = _sample(ConstantRates([[0.0, 0.8], [0.0, 0.8]]), "tau-leaping", 1.0, m, seed=4)
+    samples, tel, _ = _sample(ConstantRates([[0.0, 0.8], [0.0, 0.8]]), "tau-leaping", 1.0, m, seed=4)
     per_coord = draws[(engine.TAG_STEP, 0, 0, 0)].reshape(m, 2, 2).sum(axis=2)
     reject = (per_coord > 1).any(axis=1)
     moved = np.where(reject[:, None], 0, per_coord)
@@ -136,13 +132,13 @@ def test_tau_leap_applies_at_most_one_jump_per_coordinate(monkeypatch):
 
 
 def test_euler_zero_rates_stays():
-    samples, _ = _sample(ConstantRates([[0.0, 0.0]]), "euler", 1.0, 1000, seed=6)
+    samples, _, _ = _sample(ConstantRates([[0.0, 0.0]]), "euler", 1.0, 1000, seed=6)
     assert np.all(samples == 0)
 
 
 def test_euler_jump_probability():
     n = 100_000
-    samples, _ = _sample(ConstantRates([[0.0, 0.25]]), "euler", 1.0, n, seed=7)
+    samples, _, _ = _sample(ConstantRates([[0.0, 0.25]]), "euler", 1.0, n, seed=7)
     se = np.sqrt(0.25 * 0.75 / n)
     assert abs((samples == 1).mean() - 0.25) < 4 * se
 
@@ -159,8 +155,8 @@ def test_euler_vs_tau_leap_total_variation_is_second_order():
     lam = 0.2
     n = 200_000
     model = ConstantRates([[0.0, 1.0]])
-    tau, _ = _sample(model, "tau-leaping", lam, n, seed=9)
-    eul, _ = _sample(model, "euler", lam, n, seed=10)
+    tau, _, _ = _sample(model, "tau-leaping", lam, n, seed=9)
+    eul, _, _ = _sample(model, "euler", lam, n, seed=10)
     gap = (eul == 1).mean() - (tau == 1).mean()
     expected_gap = lam * (1 - np.exp(-lam))  # = lam^2 + O(lam^3)
     se = np.sqrt(2 * lam / n)
@@ -174,7 +170,7 @@ def test_euler_vs_tau_leap_total_variation_is_second_order():
 def test_two_stage_zero_intensity_is_identity():
     m = 100
     for method in ("theta-rk2", "theta-trapezoidal"):
-        samples, tel = _sample(ConstantRates([[0.0, 0.0]]), method, 1.0, m, n_steps=4, seed=10)
+        samples, tel, _ = _sample(ConstantRates([[0.0, 0.0]]), method, 1.0, m, n_steps=4, seed=10)
         assert np.all(samples == 0)
         assert tel.nfe == 2 * 4 * m  # two intensity evaluations per interval
 
@@ -184,7 +180,7 @@ def test_rk2_half_theta_uses_intermediate_intensity_only():
     # vanishes at the section point can never fire in stage 2, although
     # stage 1 draws it
     model = SwitchedRates([[0.0, 2.0]], switch=0.25)
-    samples, tel = _sample(model, "theta-rk2", 1.0, 200, n_steps=2, seed=11)
+    samples, tel, _ = _sample(model, "theta-rk2", 1.0, 200, n_steps=2, seed=11)
     assert tel.drawn_jumps > 0
     assert np.all(samples == 0)
 
@@ -194,7 +190,7 @@ def test_trapezoidal_constant_intensity_total_counts_poisson(monkeypatch):
     mu, dt, theta = 0.8, 1.0, 0.3
     n = 30_000
     draws = record_poisson(monkeypatch)
-    _, tel = _sample(ConstantRates([[mu]]), "theta-trapezoidal", dt, n, theta=theta, seed=12)
+    _, tel, _ = _sample(ConstantRates([[mu]]), "theta-trapezoidal", dt, n, theta=theta, seed=12)
     counts = drawn_per_trajectory(draws)
     assert counts.size == n and counts.sum() == tel.drawn_jumps
     lam = mu * dt
@@ -215,14 +211,18 @@ def test_negative_intensity_clamping_and_telemetry():
     # no rate at either stage and adds no terms
     m = 100
     model = SwitchedRates([[0.0, 1.0]], switch=0.1)
-    _, tel = _sample(model, "theta-trapezoidal", 1.0, m, n_steps=2, seed=13)
+    _, tel, _ = _sample(model, "theta-trapezoidal", 1.0, m, n_steps=2, seed=13)
     assert tel.negative_intensity_events == tel.total_intensity_terms == m
 
 
-def test_error_on_negative_policy_raises():
+def test_error_on_negative_policy_raises(monkeypatch):
+    # a negative extrapolated intensity never reaches the Poisson draw, which
+    # raises a NumericalError on one: stage 2 draws from the clamped zero
+    draws = record_poisson(monkeypatch)
     model = SwitchedRates([[0.0, 1.0]], switch=0.1)
-    with pytest.raises(NumericalError):
-        _sample(model, "theta-trapezoidal", 1.0, 100, n_steps=2, seed=14, clamp_policy=ERROR_ON_NEGATIVE)
+    _, tel, _ = _sample(model, "theta-trapezoidal", 1.0, 100, n_steps=2, seed=14)
+    assert tel.negative_intensity_events == 100
+    assert np.all(draws[(engine.TAG_STEP, 0, 0, 1)] == 0)
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
@@ -241,6 +241,14 @@ def test_solver_config_validation_and_warning():
     with pytest.warns(UserWarning) as warned:
         SolverConfig("theta-rk2", grid, seed=0)
     assert warned[0].filename == __file__  # attributed to the caller
+
+
+def test_step_telemetry_merge_sums_every_counter():
+    names = [f.name for f in fields(StepTelemetry)]
+    a = StepTelemetry(*range(1, len(names) + 1))
+    b = StepTelemetry(*(10 ** (k + 1) for k in range(len(names))))
+    a.merge(b)
+    assert [getattr(a, n) for n in names] == [k + 1 + 10 ** (k + 1) for k in range(len(names))]
 
 
 # uniformization
