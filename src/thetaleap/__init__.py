@@ -13,7 +13,6 @@ from .masked import (
     ConditionalOracle,
     NoiseSchedule,
     TargetTable,
-    TokenSequence,
     load_target_table,
     random_target_table,
 )

@@ -26,6 +26,8 @@ class ProbabilityVector:
         p.flags.writeable = False
         if p.ndim != 1 or p.size < 1:
             raise ConfigError("probability vector must be 1-D and nonempty")
+        if not np.all(np.isfinite(p)):
+            raise ConfigError("probability vector has NaN or infinite entries")
         if np.any(p < 0):
             raise ConfigError("probability vector has negative entries")
         s = p.sum()

@@ -20,11 +20,11 @@ worker once, through the executor's initializer; a chunk task carries only
 Batch models implement:
   - ``n_coords``, ``slots_per_coord``: jump-slot layout, where slot (c, v)
     means "set coordinate c to target v"
-  - ``sample_q0_batch(rng, m)``: initial states, shape (m,) or (m, d)
+  - ``sample_q0_batch(rng, m)``: initial states, one int64 label per trajectory
   - ``rates_batch(s, states)``: (m, n_coords * slots_per_coord) intensities;
     ``s`` may be a scalar or a per-row vector
   - ``apply(states, rows, coords, vals)``: in-place jump application
-  - ``encode(states)``: canonical integer label per trajectory
+  - ``encode(states)``: each trajectory's index into the target's states
   - optionally ``total_bound(s_lo, s_hi)`` (uniformization): a bound on
     every trajectory's total rate over (s_lo, s_hi], elementwise over
     arrays of windows or one scalar for all of them, and

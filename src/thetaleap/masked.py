@@ -17,6 +17,7 @@ from .errors import ConfigError, DataError, UnreachableContextError
 TABLE_LOAD_ATOL = 1e-9
 TABLE_SUM_ATOL = 1e-12
 MAX_TABLE_CELLS = 10**6
+MAX_COND_TABLE_ENTRIES = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -47,23 +48,6 @@ class NoiseSchedule:
 
 
 @dataclass(frozen=True)
-class TokenSequence:
-    """Fixed-length sequence over {0..S-1} plus the MASK symbol (= S)."""
-
-    tokens: np.ndarray
-    vocab_size: int
-
-    def __post_init__(self):
-        tok = np.array(self.tokens, dtype=np.int64)
-        tok.flags.writeable = False
-        if tok.ndim != 1 or tok.size < 1:
-            raise DataError("token sequence must be 1-D and nonempty")
-        if np.any(tok < 0) or np.any(tok > self.vocab_size):
-            raise DataError(f"tokens must lie in [0, {self.vocab_size}] (MASK = {self.vocab_size})")
-        object.__setattr__(self, "tokens", tok)
-
-
-@dataclass(frozen=True)
 class TargetTable:
     """Explicit joint distribution over [S]^d, enumerable by construction."""
 
@@ -78,6 +62,8 @@ class TargetTable:
             raise DataError(f"target table has {p.size} cells, above the {MAX_TABLE_CELLS} cap")
         if len(set(p.shape)) != 1:
             raise DataError("target table must have the same number of sites per dimension")
+        if not np.all(np.isfinite(p)):
+            raise DataError("target table has NaN or infinite entries")
         if np.any(p < 0):
             raise DataError("target table has negative entries")
         if abs(p.sum() - 1.0) > TABLE_SUM_ATOL:
@@ -131,7 +117,10 @@ def load_target_table(path, d: int | None = None, S: int | None = None) -> Targe
             fields = line.split()
             if len(fields) != 2:
                 raise DataError(f"expected 'index probability' rows, got {line!r}")
-            entries[_parse_field(int, fields[0], line)] = _parse_field(float, fields[1], line)
+            idx = _parse_field(int, fields[0], line)
+            if idx in entries:
+                raise DataError(f"index {idx} appears more than once in the target table")
+            entries[idx] = _parse_field(float, fields[1], line)
     file_d, file_S = header.get("d", d), header.get("S", S)
     if (d is not None and file_d != d) or (S is not None and file_S != S):
         raise DataError(f"target file has shape d={file_d} S={file_S}, but this study needs d={d} S={S}")
@@ -159,34 +148,41 @@ def load_target_table(path, d: int | None = None, S: int | None = None) -> Targe
 class ConditionalOracle:
     """Exact per-position conditionals of the target given unmasked positions.
 
-    For a partially masked sequence, returns a d x S matrix whose row l is
-    the one-hot indicator of an observed token, or the conditional law of
-    position l given the observed portion when l is masked.  Every query is
-    computed afresh from the table; callers that revisit contexts memoize
-    the result themselves (as :class:`thetaleap.models.MaskedToyModel` does).
+    A context is a length-d sequence over {0..S-1} plus MASK (= S).  ``mass``
+    holds the target's mass of every context (its total over the completions
+    of the masked positions) as an (S+1)^d array: the table summed along each
+    axis in turn, where index S on an axis is the sum over that axis.
     """
 
     def __init__(self, table: TargetTable):
+        d, S = table.d, table.S
+        if (S + 1) ** d * d * S > MAX_COND_TABLE_ENTRIES:
+            raise ConfigError("state space too large for the dense conditional table")
         self.table = table
+        mass = table.probs
+        for axis in range(d):
+            mass = np.concatenate([mass, mass.sum(axis=axis, keepdims=True)], axis=axis)
+        self.mass = mass
 
-    def conditional_probs(self, seq: TokenSequence) -> np.ndarray:
+    def conditional_probs(self, contexts) -> np.ndarray:
+        """(k, d, S) conditionals for a (k, d) integer array of contexts: row l
+        is one-hot on an observed token, or, when l is masked, the mass of the
+        context with l set to each value over the mass of the context."""
+        ctx = np.asarray(contexts)
         d, S = self.table.d, self.table.S
-        if seq.vocab_size != S or seq.tokens.size != d:
-            raise DataError("sequence shape does not match the target table")
-        tokens = seq.tokens
-        mask = tokens == S
-        indexer = tuple(slice(None) if mask[l] else int(tokens[l]) for l in range(d))
-        sub = self.table.probs[indexer]
-        mass = float(sub.sum())
-        if mass <= 0.0:
-            raise UnreachableContextError(
-                f"observed context {tuple(int(t) for t in tokens)} has zero mass"
-            )
-        out = np.zeros((d, S))
-        masked_axes = np.nonzero(mask)[0]
-        for pos, l in enumerate(masked_axes):
-            other = tuple(a for a in range(masked_axes.size) if a != pos)
-            out[l] = sub.sum(axis=other) / mass
-        for l in np.nonzero(~mask)[0]:
-            out[l, int(tokens[l])] = 1.0
+        if ctx.ndim != 2 or ctx.shape[1] != d or not np.issubdtype(ctx.dtype, np.integer):
+            raise DataError(f"contexts must be a (k, {d}) integer array, got shape {ctx.shape}")
+        if np.any(ctx < 0) or np.any(ctx > S):
+            raise DataError(f"tokens must lie in [0, {S}] (MASK = {S})")
+        mass = self.mass[tuple(ctx.T)]
+        if not np.all(mass > 0.0):
+            bad = ctx[np.argmin(mass > 0.0)]
+            raise UnreachableContextError(f"observed context {tuple(int(t) for t in bad)} has zero mass")
+        values = np.arange(S)
+        out = np.empty((ctx.shape[0], d, S))
+        for l in range(d):
+            index = [ctx[:, j, None] for j in range(d)]
+            index[l] = values
+            tok = ctx[:, l, None]
+            out[:, l] = np.where(tok == S, self.mass[tuple(index)] / mass[:, None], tok == values)
         return out

@@ -11,9 +11,7 @@ import numpy as np
 
 from .ctmc import ProbabilityVector
 from .errors import ConfigError, SingularScoreError
-from .masked import ConditionalOracle, NoiseSchedule, TargetTable, TokenSequence
-
-MAX_COND_CACHE_ENTRIES = 5 * 10**7
+from .masked import ConditionalOracle, NoiseSchedule, TargetTable
 
 
 def sample_simplex(n: int, rng: np.random.Generator) -> ProbabilityVector:
@@ -97,15 +95,20 @@ class ToyUniformModel:
 
 
 class MaskedToyModel:
-    """Masked toy diffusion over [S]^d with exact brute-force conditionals.
+    """Masked toy diffusion over [S]^d with exact conditionals of a joint table.
 
     Reverse time s maps to forward time t = horizon - s.  Only MASK -> token
     jumps carry rate: the reverse edge of token -> MASK masking, weighted by
-    the exact score factors.  States hold tokens 0..S-1 and MASK, encoded
-    as S.  Sampling starts from the all-MASK sequence; any position still
-    masked when the grid ends is filled from the exact conditional given
-    the unmasked portion (a conditionally unbiased completion, counted
-    separately from stepping NFE).
+    the exact score factors.  A state is one int64 label per trajectory,
+    label = sum_l x_l (S+1)^l over tokens x_l in 0..S-1 and MASK (= S).
+    Sampling starts from the all-MASK label (S+1)^d - 1; any position still
+    masked when the grid ends is filled from the exact conditional given the
+    unmasked portion (a conditionally unbiased completion, counted
+    separately from stepping NFE).  Per-label tables of the first masked
+    position and the target index (-1 while a position is masked) are built
+    at construction; the conditionals come from one oracle call at the first
+    ``rates_batch`` or ``finalize_batch``, which a wrapper put on the oracle
+    after construction still sees.
     """
 
     def __init__(self, table: TargetTable, schedule: NoiseSchedule | None = None, horizon: float = 1.0):
@@ -115,18 +118,14 @@ class MaskedToyModel:
         self.d = table.d
         self.S = table.S
         self.oracle = ConditionalOracle(table)
-        # smallest signed type that holds every token and MASK (= S)
-        self._dtype = next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= self.S)
         self.n_coords = self.d
         self.slots_per_coord = self.S
-        n_ctx = (self.S + 1) ** self.d
-        if n_ctx * self.d * self.S > MAX_COND_CACHE_ENTRIES:
-            raise ConfigError("state space too large for the dense conditional cache")
-        self._ctx_pow = (self.S + 1) ** np.arange(self.d, dtype=np.int64)
-        self._enc_pow = self.S ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        # per context: the conditional on MASK positions, 0 on observed ones
-        self._rows = np.zeros((n_ctx, self.d * self.S))
-        self._have = np.zeros(n_ctx, dtype=bool)
+        self._digit = (self.S + 1) ** np.arange(self.d, dtype=np.int64)
+        self._contexts = np.arange((self.S + 1) ** self.d)[:, None] // self._digit % (self.S + 1)
+        masked = self._contexts == self.S
+        self._first = np.where(masked.any(axis=1), masked.argmax(axis=1), -1)
+        self._index = np.where(masked.any(axis=1), -1, self._contexts @ self.S ** np.arange(self.d)[::-1])
+        self._cond = self._live = None
 
     def _coef(self, s):
         """sigma(t) * prefactor(t): the per-conditional unmask rate scale.
@@ -141,17 +140,18 @@ class MaskedToyModel:
         sb = self.schedule.sigma_bar(t)
         return self.schedule.sigma(t) * np.exp(-sb) / -np.expm1(-sb)
 
-    def _ensure_codes(self, codes: np.ndarray) -> None:
-        new = np.unique(codes[~self._have[codes]])
-        for code in new:
-            rest = int(code)
-            tokens = np.empty(self.d, dtype=np.int64)
-            for l in range(self.d):
-                tokens[l] = rest % (self.S + 1)
-                rest //= self.S + 1
-            cond = self.oracle.conditional_probs(TokenSequence(tokens, self.S))
-            self._rows[code] = (cond * (tokens == self.S)[:, None]).ravel()
-            self._have[code] = True
+    def _conditionals(self, labels: np.ndarray) -> np.ndarray:
+        """The (n_labels, d * S) table of conditionals on masked positions (0 on
+        observed ones), after checking that every given label has mass."""
+        if self._cond is None:
+            live = self.oracle.mass[tuple(self._contexts.T)] > 0.0
+            cond = np.zeros((live.size, self.d, self.S))
+            cond[live] = self.oracle.conditional_probs(self._contexts[live])
+            cond *= (self._contexts == self.S)[:, :, None]
+            self._live, self._cond = live, cond.reshape(live.size, -1)
+        if not self._live[labels].all():
+            self.oracle.conditional_probs(self._contexts[labels])  # raises, naming a zero-mass context
+        return self._cond
 
     def total_bound(self, s_lo: float, s_hi: float) -> float:
         raise ConfigError(
@@ -160,40 +160,38 @@ class MaskedToyModel:
         )
 
     def sample_q0_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        return np.full((m, self.d), self.S, dtype=self._dtype)
+        return np.full(m, (self.S + 1) ** self.d - 1, dtype=np.int64)
 
-    def rates_batch(self, s, states: np.ndarray) -> np.ndarray:
-        codes = states.astype(np.int64) @ self._ctx_pow
-        self._ensure_codes(codes)
+    def rates_batch(self, s, labels: np.ndarray) -> np.ndarray:
+        r = np.take(self._conditionals(labels), labels, axis=0)
         coef = self._coef(s)
-        coef = coef[:, None] if np.ndim(coef) else float(coef)
-        r = np.take(self._rows, codes, axis=0)
-        r *= coef
+        r *= coef[:, None] if np.ndim(coef) else float(coef)
         return r
 
-    def apply(self, states, rows, coords, vals):
-        states[rows, coords] = vals
-        return states
+    def apply(self, labels, rows, coords, vals):
+        # unbuffered: one accepted update can move several digits of a row
+        digit = self._digit[coords]
+        np.add.at(labels, rows, (vals - labels[rows] // digit % (self.S + 1)) * digit)
+        return labels
 
-    def finalize_batch(self, states, rng: np.random.Generator, tel) -> np.ndarray:
-        states = states.copy()
+    def finalize_batch(self, labels, rng: np.random.Generator, tel) -> np.ndarray:
+        labels = labels.copy()
         for _ in range(self.d):
-            masked = states == self.S
-            rows = np.nonzero(masked.any(axis=1))[0]
+            rows = np.flatnonzero(self._first[labels] >= 0)
             if rows.size == 0:
                 break
-            first = masked[rows].argmax(axis=1)
-            codes = states[rows].astype(np.int64) @ self._ctx_pow
-            self._ensure_codes(codes)
-            cond = self._rows.reshape(-1, self.d, self.S)[codes, first, :]
+            todo = labels[rows]
+            first = self._first[todo]
+            cond = self._conditionals(todo).reshape(-1, self.d, self.S)[todo, first, :]
             tel.final_fill_evals += int(rows.size)
             cum = np.cumsum(cond, axis=1)
             u = rng.random(rows.size)
             vals = np.minimum((cum < u[:, None]).sum(axis=1), self.S - 1)
-            states[rows, first] = vals
-        return states
+            labels[rows] += (vals - self.S) * self._digit[first]
+        return labels
 
-    def encode(self, states: np.ndarray) -> np.ndarray:
-        if np.any(states == self.S):
+    def encode(self, labels: np.ndarray) -> np.ndarray:
+        index = self._index[labels]
+        if np.any(index < 0):
             raise ConfigError("cannot encode sequences that still contain MASK")
-        return states.astype(np.int64) @ self._enc_pow
+        return index

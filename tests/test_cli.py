@@ -323,7 +323,7 @@ def _write_table(path, probs, d, S):
 
 
 def test_cli_masked_large_vocabulary(tmp_path):
-    # S = 200 tokens plus MASK do not fit the int8 states used for small S
+    # S = 200 tokens plus MASK: 201 labels, each a table row of 200 slots
     table = _write_table(tmp_path / "s200.txt", np.full(200, 1 / 200), d=1, S=200)
     code, out = _run_cli(
         tmp_path,
@@ -333,6 +333,36 @@ def test_cli_masked_large_vocabulary(tmp_path):
     )
     assert code == 0
     assert parse_results(out)[0].steps == 4
+
+
+@pytest.mark.parametrize("command,d,S", [("masked-converge", 3, 4), ("toy-converge", 1, 15)])
+def test_cli_non_finite_target_file_fails_at_load(tmp_path, monkeypatch, capsys, command, d, S):
+    # a NaN entry used to load and fail only once sampling had started (exit 4)
+    calls = []
+    monkeypatch.setattr(cli, "run_sampler", lambda *a, **k: calls.append(a))
+    path = tmp_path / "p0.txt"
+    path.write_text(f"# d={d} S={S}\n0 nan\n")
+    code = main(
+        [command, "--samples", "1000", "--steps", "4", "--bootstrap", "10",
+         "--target-file", str(path), "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert calls == []
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
+def test_cli_masked_zero_cells_sample_or_fail_as_model_errors(tmp_path, capsys):
+    # the target (0.5, 0, 0, 0.5) on d=2, S=2: Euler unmasks one position at
+    # a time and never meets a zero-mass context; tau-leaping can unmask both
+    # positions in one update onto the zero cell (1, 0), whose rates are then
+    # undefined
+    table = _write_table(tmp_path / "diag.txt", [0.5, 0.0, 0.0, 0.5], d=2, S=2)
+    common = ["masked-converge", "--samples", "20000", "--bootstrap", "10", "--target-file", table,
+              "--out", str(tmp_path / "x.csv")]
+    assert main(common + ["--method", "euler", "--steps", "16", "--delta", "0.5"]) == 0
+    capsys.readouterr()
+    assert main(common + ["--method", "tau-leaping", "--steps", "4"]) == 4
+    assert "zero mass" in capsys.readouterr().err
 
 
 def test_cli_zero_mass_target_is_a_model_error(tmp_path):

@@ -75,6 +75,10 @@ def test_probability_vector_validation():
         ProbabilityVector(np.array([0.6, 0.6]))
     with pytest.raises(ConfigError):
         ProbabilityVector(np.array([-0.1, 1.1]))
+    # NaN fails every comparison, so the sign and mass checks alone let it through
+    for bad in ([0.5, np.nan], [np.nan, np.nan], [1.0, np.inf], [np.inf, -np.inf]):
+        with pytest.raises(ConfigError):
+            ProbabilityVector(np.array(bad))
 
 
 def _reverse_generator(model, s):

@@ -5,14 +5,16 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from thetaleap.engine import CHUNK_SIZE, ChunkPool, run_sampler, substream
 from thetaleap.errors import ConfigError, StepSizeError
+from thetaleap.masked import NoiseSchedule, random_target_table
 from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
-from thetaleap.models import ToyUniformModel, sample_simplex
+from thetaleap.models import MaskedToyModel, ToyUniformModel, sample_simplex
 from thetaleap.solvers import SolverConfig, make_time_grid
 
-from kernel_oracle import exact_scheme_distribution
+from kernel_oracle import exact_masked_distribution, exact_scheme_distribution
 
 HORIZON = 12.0
 
@@ -34,6 +36,22 @@ def test_batch_sampler_matches_exact_scheme_kernel(toy, method):
     emp = empirical_distribution(samples, 15)
     kl = kl_divergence(exact, emp)
     assert kl < 3 * noise_floor(m, 15)
+
+
+@pytest.mark.parametrize("method", ["tau-leaping", "theta-rk2", "theta-trapezoidal"])
+def test_masked_sampler_matches_exact_scheme_kernel(method):
+    # a coarse grid keeps the scheme's law far from the target, so this
+    # checks the engine on masked labels against the scheme itself
+    eps, delta, n_steps, m = 1e-3, 1e-3, 4, 200_000
+    table = random_target_table(2, 3, substream(3, 103))
+    model = MaskedToyModel(table, NoiseSchedule(eps))
+    grid = make_time_grid(1.0, delta, n_steps, 0.5)
+    samples, _, _ = run_sampler(SolverConfig(method, grid, seed=9), model, m)
+    exact = exact_masked_distribution(method, table.probs, eps, 1.0, delta, n_steps, 0.5)
+    observed = np.bincount(samples, minlength=9)
+    expected = m * exact
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    assert stats.chi2.sf(chi2, 8) > 1e-3
 
 
 def test_worker_count_does_not_change_samples(toy):

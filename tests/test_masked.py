@@ -9,14 +9,13 @@ from thetaleap.masked import (
     ConditionalOracle,
     NoiseSchedule,
     TargetTable,
-    TokenSequence,
     load_target_table,
     random_target_table,
 )
 from thetaleap.models import MaskedToyModel
 from thetaleap.solvers import SolverConfig, StepTelemetry, make_time_grid
 
-from kernel_oracle import brute_force_conditionals
+from kernel_oracle import brute_force_conditionals, masked_label, masked_tokens
 
 EPS = 1e-3
 
@@ -120,9 +119,10 @@ def _masked_counts_at_grid_end(model, delta, m, seed):
     counts = []
     fill = model.finalize_batch
 
-    def recording_fill(states, rng, tel):
-        counts.append((states == model.S).sum(axis=1))
-        return fill(states, rng, tel)
+    def recording_fill(labels, rng, tel):
+        tokens = np.array([masked_tokens(label, model.d, model.S) for label in labels])
+        counts.append((tokens == model.S).sum(axis=1))
+        return fill(labels, rng, tel)
 
     model.finalize_batch = recording_fill
     grid = make_time_grid(1.0, delta, 128, 0.5)
@@ -134,10 +134,10 @@ def test_forward_mask_t_zero_unchanged(sched, model):
     # at forward time 0 nothing is masked, and the final fill leaves an
     # unmasked sequence as it is
     assert _mask_probability(sched, 0.0) == 0.0
-    states = np.array([[0, 1], [2, 2]], dtype=np.int8)
+    labels = np.array([masked_label([0, 1], 3), masked_label([2, 2], 3)])
     tel = StepTelemetry()
-    out = model.finalize_batch(states, np.random.default_rng(0), tel)
-    assert np.array_equal(out, states) and tel.final_fill_evals == 0
+    out = model.finalize_batch(labels, np.random.default_rng(0), tel)
+    assert np.array_equal(out, labels) and tel.final_fill_evals == 0
 
 
 def test_forward_mask_fraction_matches_formula(sched):
@@ -163,10 +163,11 @@ def test_forward_mask_count_is_binomial(sched):
 
 
 def test_forward_mask_requires_unmasked_input():
-    # a sequence holds tokens 0..S-1 and MASK (= S), nothing else
-    for tokens in ([0, 5, 1], [-1, 4, 1]):
+    # a context holds tokens 0..S-1 and MASK (= S), nothing else, one row of d per context
+    oracle = ConditionalOracle(random_target_table(3, 4, np.random.default_rng(0)))
+    for contexts in ([[0, 5, 1]], [[-1, 4, 1]], [0, 4, 1], [[0, 4]], [[0.0, 4.0, 1.0]]):
         with pytest.raises(DataError):
-            TokenSequence(np.array(tokens), 4)
+            oracle.conditional_probs(np.array(contexts))
 
 
 # target tables
@@ -177,6 +178,19 @@ def test_target_table_validation():
         TargetTable(np.array([0.5, 0.6]))
     with pytest.raises(DataError):
         TargetTable(np.array([[0.5, 0.5], [0.2, -0.2]]) / 1.0)
+    # NaN fails every comparison, so the sign and mass checks alone let it through
+    for bad in ([0.5, np.nan], [[np.nan, 0.5], [0.25, 0.25]], [1.0, np.inf]):
+        with pytest.raises(DataError):
+            TargetTable(np.array(bad))
+
+
+def test_target_table_load_rejects_a_repeated_index(tmp_path):
+    # a repeated index used to keep its last row, so a duplicated or
+    # mistyped index passed the mass check
+    path = tmp_path / "t.txt"
+    path.write_text("# d=1 S=2\n0 0.5\n0 0.5\n1 0.5\n")
+    with pytest.raises(DataError, match="index 0"):
+        load_target_table(path)
 
 
 def test_target_table_roundtrip(tmp_path):
@@ -213,8 +227,13 @@ def test_target_table_load_rejects_large_drift(tmp_path):
         "# d=-1 S=3\n0 1.0\n",  # negative dimension
         "# d=30 S=10\n0 1.0\n",  # 10**30 cells
         "# d=21 S=1\n0 1.0\n",  # more dimensions than any table under the cap
+        "# d=1 S=2\n0 nan\n1 0.5\n",  # NaN probability
+        "# d=1 S=2\n0 inf\n1 0.5\n",  # infinite probability
     ],
-    ids=["index", "probability", "header", "negative-S", "negative-d", "too-many-cells", "too-many-dims"],
+    ids=[
+        "index", "probability", "header", "negative-S", "negative-d", "too-many-cells", "too-many-dims",
+        "nan-probability", "inf-probability",
+    ],
 )
 def test_target_table_load_rejects_malformed_fields(tmp_path, text):
     path = tmp_path / "t.txt"
@@ -235,8 +254,8 @@ def test_target_table_load_accepts_the_largest_table_under_the_cap(tmp_path):
 def test_conditionals_uniform_target():
     table = TargetTable(np.full((3, 3), 1 / 9))
     oracle = ConditionalOracle(table)
-    seq = TokenSequence(np.array([3, 3]), 3)  # both masked
-    probs = oracle.conditional_probs(seq)
+    probs = oracle.conditional_probs(np.array([[3, 3]]))  # both masked
+    assert probs.shape == (1, 2, 3)
     assert np.abs(probs - 1 / 3).max() < 1e-12
 
 
@@ -244,8 +263,7 @@ def test_conditionals_point_mass():
     probs = np.zeros((3, 3))
     probs[0, 1] = 1.0
     oracle = ConditionalOracle(TargetTable(probs))
-    seq = TokenSequence(np.array([0, 3]), 3)  # first observed as 0, second masked
-    out = oracle.conditional_probs(seq)
+    (out,) = oracle.conditional_probs(np.array([[0, 3]]))  # first observed as 0, second masked
     assert np.array_equal(out[1], [0.0, 1.0, 0.0])
     assert np.array_equal(out[0], [1.0, 0.0, 0.0])  # observed row is one-hot
 
@@ -254,21 +272,19 @@ def test_conditionals_match_brute_force_enumeration():
     rng = np.random.default_rng(4)
     table = random_target_table(3, 4, rng)
     oracle = ConditionalOracle(table)
-    for _ in range(25):
-        tokens = rng.integers(0, 5, size=3)  # 4 = MASK
-        seq = TokenSequence(tokens, 4)
-        got = oracle.conditional_probs(seq)
+    contexts = rng.integers(0, 5, size=(25, 3))  # 4 = MASK
+    got = oracle.conditional_probs(contexts)
+    for tokens, out in zip(contexts, got):
         want = brute_force_conditionals(table.probs, tokens, 4)
-        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(out - want).max() < 1e-12
 
 
 def test_conditional_rows_sum_to_one_and_one_hot():
     rng = np.random.default_rng(5)
     table = random_target_table(3, 4, rng)
     oracle = ConditionalOracle(table)
-    for _ in range(20):
-        tokens = rng.integers(0, 5, size=3)
-        out = oracle.conditional_probs(TokenSequence(tokens, 4))
+    contexts = rng.integers(0, 5, size=(20, 3))
+    for tokens, out in zip(contexts, oracle.conditional_probs(contexts)):
         assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
         for l, tok in enumerate(tokens):
             if tok != 4:
@@ -281,8 +297,33 @@ def test_unreachable_context_raises():
     probs = np.zeros((2, 2))
     probs[0, 0] = probs[0, 1] = 0.5  # first token is always 0
     oracle = ConditionalOracle(TargetTable(probs))
-    with pytest.raises(UnreachableContextError):
-        oracle.conditional_probs(TokenSequence(np.array([1, 2]), 2))
+    with pytest.raises(UnreachableContextError, match=r"\(1, 2\)"):
+        oracle.conditional_probs(np.array([[0, 2], [1, 2]]))
+
+
+def test_masked_model_raises_at_a_zero_mass_context(sched):
+    probs = np.zeros((2, 2))
+    probs[0, 0] = probs[0, 1] = 0.5  # first token is always 0
+    model = MaskedToyModel(TargetTable(probs), sched)
+    reachable, unreachable = masked_label([0, 2], 2), masked_label([1, 2], 2)
+    assert model.rates_batch(0.5, np.array([reachable])).sum() > 0
+    for labels in ([unreachable], [reachable, masked_label([1, 0], 2)]):
+        with pytest.raises(UnreachableContextError):
+            model.rates_batch(0.5, np.array(labels))
+    with pytest.raises(UnreachableContextError, match=r"\(1, 2\)"):
+        model.finalize_batch(np.array([reachable, unreachable]), np.random.default_rng(0), StepTelemetry())
+
+
+def test_masked_sampling_puts_no_sample_on_a_zero_cell(sched):
+    # Euler moves one position per update and the fill draws one position at
+    # a time from its exact conditional, so the zero cells (0, 1) and (1, 0)
+    # are never reached
+    model = MaskedToyModel(TargetTable(np.array([[0.5, 0.0], [0.0, 0.5]])), sched)
+    grid = make_time_grid(1.0, 0.5, 16, 0.5)
+    samples, tel, _ = run_sampler(SolverConfig("euler", grid, seed=3), model, 20_000)
+    assert tel.final_fill_evals > 0
+    counts = np.bincount(samples, minlength=4)
+    assert counts[1] == counts[2] == 0 and counts[0] > 0 and counts[3] > 0
 
 
 # masked score: the model's unmask rates are coef(s) times the conditionals
@@ -290,23 +331,23 @@ def test_unreachable_context_raises():
 
 def test_masked_score_equals_conditionals_at_unit_prefactor(sched, model):
     t = 1.0 / (2.0 * (1 - EPS))
-    seq = TokenSequence(np.array([3, 1]), 3)
-    got = model.rates_batch(1.0 - t, seq.tokens[None, :])[0].reshape(2, 3)
-    want = float(sched.sigma(t)) * model.oracle.conditional_probs(seq)
+    tokens = np.array([3, 1])
+    got = model.rates_batch(1.0 - t, np.array([masked_label(tokens, 3)]))[0].reshape(2, 3)
+    want = float(sched.sigma(t)) * model.oracle.conditional_probs(tokens[None, :])[0]
     assert np.abs(got[0] - want[0]).max() < 1e-12
     assert np.all(got[1] == 0.0)  # the observed position carries no rate
 
 
 def test_masked_score_singular_at_zero(model):
     with pytest.raises(SingularScoreError):
-        model.rates_batch(1.0, np.array([[3, 3]]))
+        model.rates_batch(1.0, np.array([masked_label([3, 3], 3)]))
 
 
 def test_absorbing_rate_matrix_structure(model):
     # MASK is absorbing forward, so in reverse only MASK -> token jumps carry
     # rate: a fully unmasked sequence never moves, and no slot re-masks
     tokens = np.array([[0, 2], [1, 1], [3, 0], [3, 3]])
-    rates = model.rates_batch(0.4, tokens)
+    rates = model.rates_batch(0.4, np.array([masked_label(x, 3) for x in tokens]))
     assert rates.shape == (4, 2 * 3)  # slots are tokens 0..S-1 only, MASK has none
     assert np.all(rates[:2] == 0.0)
     assert np.all(rates[2].reshape(2, 3)[1] == 0.0) and rates[2].reshape(2, 3)[0].sum() > 0

@@ -9,7 +9,7 @@ from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
 from thetaleap.models import MaskedToyModel, ToyUniformModel, sample_simplex
 from thetaleap.solvers import SolverConfig, StepTelemetry, make_time_grid
 
-from kernel_oracle import brute_force_conditionals, toy_reverse_rates
+from kernel_oracle import brute_force_conditionals, masked_label, masked_tokens, toy_reverse_rates
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def test_masked_scalar_rates_structure():
     table = random_target_table(3, 4, np.random.default_rng(2))
     model = MaskedToyModel(table, NoiseSchedule(1e-3))
     y = np.array([4, 1, 4])  # positions 0 and 2 masked
-    rates = model.rates_batch(0.5, y[None, :])[0].reshape(3, 4)
+    rates = model.rates_batch(0.5, np.array([masked_label(y, 4)]))[0].reshape(3, 4)
     assert np.all(rates[1] == 0.0)  # no jumps out of the unmasked position
     cond = brute_force_conditionals(table.probs, y, 4)
     coef = float(model._coef(0.5))
@@ -108,21 +108,22 @@ def test_masked_batch_rates_match_scalar():
     # every row agrees with brute-force conditionals times coef on masked positions
     table = random_target_table(3, 4, np.random.default_rng(3))
     model = MaskedToyModel(table, NoiseSchedule(1e-3))
-    states = np.array([[4, 4, 4], [0, 4, 2], [1, 2, 3]], dtype=np.int8)
-    batch = model.rates_batch(0.3, states)
+    states = np.array([[4, 4, 4], [0, 4, 2], [1, 2, 3]])
+    batch = model.rates_batch(0.3, np.array([masked_label(x, 4) for x in states]))
     coef = float(model._coef(0.3))
     for i in range(states.shape[0]):
-        cond = brute_force_conditionals(table.probs, states[i].astype(np.int64), 4)
+        cond = brute_force_conditionals(table.probs, states[i], 4)
         want = coef * cond * (states[i] == 4)[:, None]
         assert np.abs(batch[i] - want.ravel()).max() < 1e-10
 
 
 def test_masked_q0_is_all_mask():
-    # states use the smallest signed type that holds MASK (= S)
-    for d, S, dtype in ((2, 3, np.int8), (1, 127, np.int8), (1, 128, np.int16), (1, 200, np.int16)):
+    # one label per trajectory, every position MASK (= S)
+    for d, S in ((2, 3), (1, 127), (1, 128), (1, 200)):
         model = MaskedToyModel(random_target_table(d, S, np.random.default_rng(4)))
         q0 = model.sample_q0_batch(np.random.default_rng(0), 7)
-        assert q0.dtype == dtype and np.all(q0 == S)
+        assert q0.shape == (7,) and np.all(q0 == masked_label([S] * d, S))
+        assert np.all(masked_tokens(int(q0[0]), d, S) == S)
 
 
 def test_masked_finalize_fill_is_conditionally_exact():
@@ -133,7 +134,7 @@ def test_masked_finalize_fill_is_conditionally_exact():
     states = model.sample_q0_batch(np.random.default_rng(1), m)
     tel = StepTelemetry()
     filled = model.finalize_batch(states, np.random.default_rng(2), tel)
-    assert not np.any(filled == 4)
+    assert not any(np.any(masked_tokens(label, 3, 4) == 4) for label in np.unique(filled))
     assert tel.final_fill_evals == 3 * m
     emp = empirical_distribution(model.encode(filled), 64)
     kl = kl_divergence(table.flat(), emp)
@@ -144,7 +145,9 @@ def test_masked_encode_rejects_mask():
     table = random_target_table(2, 3, np.random.default_rng(6))
     model = MaskedToyModel(table)
     with pytest.raises(ConfigError):
-        model.encode(np.array([[3, 0]], dtype=np.int8))
+        model.encode(np.array([masked_label([3, 0], 3)]))
+    # a full sequence encodes to its row-major table index
+    assert model.encode(np.array([masked_label([2, 1], 3)])).tolist() == [2 * 3 + 1]
 
 
 def test_masked_uniformization_unsupported():

@@ -1,8 +1,9 @@
 """Tiny batch models that pin engine behaviour, and a recorder of its Poisson draws.
 
-Each model follows the batch protocol of :mod:`thetaleap.engine` with states
-of shape (m, n_coords), all starting at 0; slot (c, v) sets coordinate c to
-value v.
+Each model follows the batch protocol of :mod:`thetaleap.engine`, except that
+a state is a row of n_coords values rather than one label (the engine only
+indexes and copies trajectories), all starting at 0; slot (c, v) sets
+coordinate c to value v.
 """
 
 import numpy as np
