@@ -7,7 +7,6 @@ schemes) run by :func:`thetaleap.engine.run_sampler`, and a statistical
 harness for KL-based convergence studies.
 """
 
-from .ctmc import ProbabilityVector
 from .engine import run_sampler
 from .masked import (
     ConditionalOracle,
@@ -18,7 +17,6 @@ from .masked import (
 )
 from .metrics import (
     ConvergenceFit,
-    EmpiricalDistribution,
     KLReport,
     bootstrap_kl_ci,
     empirical_distribution,

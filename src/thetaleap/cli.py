@@ -25,7 +25,6 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .ctmc import ProbabilityVector
 from .engine import ChunkPool, run_sampler, substream
 from .errors import ConfigError, DataError, NumericalError, ThetaLeapError
 from .masked import NoiseSchedule, TargetTable, load_target_table, random_target_table
@@ -219,10 +218,9 @@ def parse_results(path) -> list:
     return rows
 
 
-def _toy_target(config: ExperimentConfig) -> ProbabilityVector:
+def _toy_target(config: ExperimentConfig) -> TargetTable:
     if config.target_file:
-        table = load_target_table(config.target_file, d=1, S=TOY_STATES)
-        return ProbabilityVector(table.flat())
+        return load_target_table(config.target_file, d=1, S=TOY_STATES)
     p0_seed = config.seed if config.p0_seed is None else config.p0_seed
     return sample_simplex(TOY_STATES, substream(p0_seed, TAG_TARGET))
 
@@ -234,7 +232,7 @@ def _masked_target(config: ExperimentConfig) -> TargetTable:
     return random_target_table(MASKED_DIMS, MASKED_VOCAB, substream(p0_seed, TAG_TARGET))
 
 
-def _sweep(config: ExperimentConfig, model, target: ProbabilityVector, n_states: int):
+def _sweep(config: ExperimentConfig, model, target: TargetTable):
     """Run the (method, theta, steps) product and collect rows plus fits.
 
     Every cell's grid and solver config is built before the first cell runs,
@@ -249,16 +247,17 @@ def _sweep(config: ExperimentConfig, model, target: ProbabilityVector, n_states:
         for theta in config.theta
         for n_steps in config.steps
     ]
+    p0 = target.flat()
     rows = []
     with ChunkPool(model, config.workers) as pool:
         for cell, scfg in enumerate(cells):
             method, theta, n_steps = scfg.method, scfg.grid.theta, scfg.grid.n_intervals
             t0 = time.monotonic()
             samples, tel, nfe = run_sampler(scfg, model, config.samples, pool=pool)
-            emp = empirical_distribution(samples, n_states)
+            counts = empirical_distribution(samples, p0.size)
             report = bootstrap_kl_ci(
-                emp,
-                target,
+                counts,
+                p0,
                 n_resamples=config.bootstrap,
                 level=config.ci_level,
                 rng=substream(config.seed, TAG_BOOT, cell),
@@ -287,7 +286,7 @@ def _sweep(config: ExperimentConfig, model, target: ProbabilityVector, n_states:
             )
             if nfe is not None:
                 _info(f"  nfe mean={nfe.mean():.2f} p95={np.percentile(nfe, 95):.1f}")
-    fits = _fit_rows(config, rows, n_states)
+    fits = _fit_rows(config, rows, p0.size)
     return rows, fits
 
 
@@ -326,14 +325,13 @@ def _fit_rows(config: ExperimentConfig, rows, n_states: int):
 def cmd_toy_converge(config: ExperimentConfig):
     p0 = _toy_target(config)
     model = ToyUniformModel(p0, horizon=config.horizon)
-    return _sweep(config, model, p0, TOY_STATES)
+    return _sweep(config, model, p0)
 
 
 def cmd_masked_converge(config: ExperimentConfig):
     table = _masked_target(config)
     model = MaskedToyModel(table, NoiseSchedule(), horizon=config.horizon)
-    target = ProbabilityVector(table.flat())
-    return _sweep(config, model, target, table.S**table.d)
+    return _sweep(config, model, table)
 
 
 COMMANDS = {
@@ -345,16 +343,20 @@ COMMANDS = {
 
 def _read_config_file(path: str) -> dict:
     """Flat key=value overrides; later CLI flags win over file values."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"expected key=value lines in {path}, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected key=value lines in {path}, got {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 

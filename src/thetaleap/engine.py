@@ -100,6 +100,14 @@ def _leap_batch(model, states, rates, dt, rng, tel: StepTelemetry):
     return states
 
 
+def _jump(model, states, rows, weights, u, tel: StepTelemetry) -> None:
+    """Move each of ``rows`` to the slot where its uniform ``u`` falls in the
+    cumulative ``weights`` (one row each), in place, counting the jumps."""
+    idx = (u[:, None] < np.cumsum(weights, axis=1)).argmax(axis=1)
+    model.apply(states, rows, idx // model.slots_per_coord, idx % model.slots_per_coord)
+    tel.drawn_jumps += rows.size
+
+
 def _euler_batch(model, states, rates, dt, rng, tel: StepTelemetry):
     m = states.shape[0]
     probs = rates * dt
@@ -114,11 +122,7 @@ def _euler_batch(model, states, rates, dt, rng, tel: StepTelemetry):
     hit = u < totals
     states = states.copy()
     if hit.any():
-        rows = np.nonzero(hit)[0]
-        cum = np.cumsum(probs[rows], axis=1)
-        idx = (u[rows, None] < cum).argmax(axis=1)
-        model.apply(states, rows, idx // model.slots_per_coord, idx % model.slots_per_coord)
-        tel.drawn_jumps += int(rows.size)
+        _jump(model, states, np.flatnonzero(hit), probs[hit], u[hit], tel)
     return states
 
 
@@ -189,8 +193,7 @@ def _uniformize_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: 
     """Exact simulation by thinning; the draw layout is in the module docstring."""
     m = states.shape[0]
     nfe_per = np.zeros(m, dtype=np.int64)
-    spc = model.slots_per_coord
-    ones = np.ones(model.n_coords * spc)
+    ones = np.ones(model.n_coords * model.slots_per_coord)
     envelope = _envelope(model, config.grid.points)
     for w, (edges, bounds, cum_mass) in enumerate(zip(*envelope)):
         mass = cum_mass[-1]
@@ -221,10 +224,7 @@ def _uniformize_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: 
             u = v_acc * bound
             hit = u < totals
             if hit.any():
-                cum = np.cumsum(r[hit], axis=1)
-                idx = (u[hit, None] < cum).argmax(axis=1)
-                model.apply(states, rows[hit], idx // spc, idx % spc)
-                tel.drawn_jumps += np.count_nonzero(hit)
+                _jump(model, states, rows[hit], r[hit], u[hit], tel)
             left -= 1
             keep = left > 0
             rows, left, lam = rows[keep], left[keep], lam[keep]
@@ -267,6 +267,10 @@ def _chunk_task(task):
 class ChunkPool:
     """Worker processes for one model, started by the first call that needs them.
 
+    That call sizes the pool: ``min(workers, its chunk count)``, since a
+    worker beyond the chunk count would never get work and every cell of a
+    sweep has the same chunk count.
+
     Use it as a context manager: leaving the block shuts the executor down and
     joins its workers, also when a chunk raised.
     """
@@ -283,7 +287,9 @@ class ChunkPool:
         if self._executor is None:
             # looked up at call time, so a patched module-level name is honoured
             self._executor = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_set_worker_model, initargs=(self.model,)
+                max_workers=min(self.workers, len(tasks)),
+                initializer=_set_worker_model,
+                initargs=(self.model,),
             )
         return list(self._executor.map(_chunk_task, tasks, chunksize=1))
 

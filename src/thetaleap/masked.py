@@ -4,6 +4,9 @@ Tokens live in {0, ..., S-1}; the absorbing MASK symbol is encoded as S.
 The forward process masks each coordinate independently at rate sigma(t);
 the reverse process unmasks using exact conditionals of a small, explicitly
 stored joint target, standing in for a learned sequence model.
+
+:class:`TargetTable` is the package's one validated distribution: the
+masked toy's joint target, and, as a d = 1 table, the uniform toy's p0.
 """
 
 from __future__ import annotations
@@ -49,7 +52,12 @@ class NoiseSchedule:
 
 @dataclass(frozen=True)
 class TargetTable:
-    """Explicit joint distribution over [S]^d, enumerable by construction."""
+    """Explicit joint distribution over [S]^d, enumerable by construction.
+
+    Entries are finite, nonnegative and sum to 1 within ``TABLE_SUM_ATOL``;
+    the array is a read-only copy, so a table is safe to share across worker
+    processes.  A d = 1 table is a probability vector over S states.
+    """
 
     probs: np.ndarray
 
@@ -104,23 +112,26 @@ def load_target_table(path, d: int | None = None, S: int | None = None) -> Targe
     """
     header = {}
     entries = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split():
-                    if part[:2] in ("d=", "S="):
-                        header[part[0]] = _parse_field(int, part[2:], line)
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise DataError(f"expected 'index probability' rows, got {line!r}")
-            idx = _parse_field(int, fields[0], line)
-            if idx in entries:
-                raise DataError(f"index {idx} appears more than once in the target table")
-            entries[idx] = _parse_field(float, fields[1], line)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    for part in line[1:].split():
+                        if part[:2] in ("d=", "S="):
+                            header[part[0]] = _parse_field(int, part[2:], line)
+                    continue
+                fields = line.split()
+                if len(fields) != 2:
+                    raise DataError(f"expected 'index probability' rows, got {line!r}")
+                idx = _parse_field(int, fields[0], line)
+                if idx in entries:
+                    raise DataError(f"index {idx} appears more than once in the target table")
+                entries[idx] = _parse_field(float, fields[1], line)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"target file {path} is not UTF-8 text: {exc}") from None
     file_d, file_S = header.get("d", d), header.get("S", S)
     if (d is not None and file_d != d) or (S is not None and file_S != S):
         raise DataError(f"target file has shape d={file_d} S={file_S}, but this study needs d={d} S={S}")

@@ -1,8 +1,10 @@
-"""Statistical evaluation: empirical laws, KL divergence, bootstrap CIs,
+"""Statistical evaluation: histograms, KL divergence, bootstrap CIs,
 plug-in noise floor, and log-log convergence-order fits.
 
-KL against an empirical law with empty cells is reported as infinity, not
-smoothed away: the plug-in estimator is the quantity of interest here.
+Laws are plain float arrays (a target's ``TargetTable.flat()``) and a
+sampler's terminal law is its int64 histogram.  KL against a histogram with
+empty cells is reported as infinity, not smoothed away: the plug-in
+estimator is the quantity of interest here.
 """
 
 from __future__ import annotations
@@ -12,37 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import ProbabilityVector
 from .errors import ConfigError, DataError, NumericalError
-
-BOOTSTRAP_DEFAULT_RESAMPLES = 1000
-BOOTSTRAP_DEFAULT_LEVEL = 0.95
-
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Counts over [0, S); frequencies are counts / total."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.counts, dtype=np.int64)
-        c.flags.writeable = False
-        if c.ndim != 1 or c.size < 1:
-            raise DataError("counts must be a nonempty 1-D array")
-        if np.any(c < 0):
-            raise DataError("counts must be nonnegative")
-        if c.sum() < 1:
-            raise DataError("empirical distribution needs at least one sample")
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.total
 
 
 @dataclass(frozen=True)
@@ -71,31 +43,23 @@ class ConvergenceFit:
         return -self.slope
 
 
-def empirical_distribution(samples: np.ndarray, n_states: int) -> EmpiricalDistribution:
-    """Exact counts of integer samples over [0, n_states)."""
+def empirical_distribution(samples: np.ndarray, n_states: int) -> np.ndarray:
+    """Exact int64 counts of integer samples over [0, n_states)."""
     samples = np.asarray(samples)
     if samples.size == 0:
         raise DataError("need at least one sample")
     if np.any(samples < 0) or np.any(samples >= n_states):
         raise DataError(f"samples must lie in [0, {n_states})")
-    return EmpiricalDistribution(np.bincount(samples, minlength=n_states))
+    return np.bincount(samples, minlength=n_states)
 
 
-def _as_probs(q) -> np.ndarray:
-    if isinstance(q, EmpiricalDistribution):
-        return q.frequencies
-    if isinstance(q, ProbabilityVector):
-        return q.probs
-    return np.asarray(q, dtype=float)
-
-
-def kl_divergence(p, q) -> float:
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """Plug-in KL divergence sum_i p_i log(p_i / q_i) in nats.
 
     Returns inf when q lacks mass somewhere p has it.
     """
-    pv = _as_probs(p)
-    qv = _as_probs(q)
+    pv = np.asarray(p, dtype=float)
+    qv = np.asarray(q, dtype=float)
     if pv.shape != qv.shape:
         raise DataError(f"shape mismatch: {pv.shape} vs {qv.shape}")
     support = pv > 0.0
@@ -112,15 +76,11 @@ def noise_floor(n_samples: int, support: int) -> float:
 
 
 def bootstrap_kl_ci(
-    samples,
-    p0: ProbabilityVector,
-    n_resamples: int = BOOTSTRAP_DEFAULT_RESAMPLES,
-    level: float = BOOTSTRAP_DEFAULT_LEVEL,
-    rng: np.random.Generator | None = None,
+    counts: np.ndarray, p0: np.ndarray, n_resamples: int, level: float, rng: np.random.Generator
 ) -> KLReport:
-    """Percentile bootstrap interval for the plug-in KL estimate.
+    """Percentile bootstrap interval for the plug-in KL(p0 || counts / M).
 
-    ``samples`` may be raw integer draws or an EmpiricalDistribution.
+    ``counts`` is a histogram from :func:`empirical_distribution`.
     Resampling M draws with replacement is done as one multinomial draw over
     the observed frequencies per resample, and the resample KLs are taken in
     one array pass over those draws.  Infinite resample KLs are counted and
@@ -130,21 +90,16 @@ def bootstrap_kl_ci(
         raise ConfigError(f"need at least 2 resamples, got {n_resamples}")
     if not (0.0 < level < 1.0):
         raise ConfigError(f"level must lie in (0, 1), got {level}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    emp = (
-        samples
-        if isinstance(samples, EmpiricalDistribution)
-        else empirical_distribution(np.asarray(samples), p0.n_states)
-    )
-    m = emp.total
-    estimate = kl_divergence(p0, emp)
-    freqs = emp.frequencies
+    m = int(counts.sum())
+    if m < 1:
+        raise DataError("the histogram holds no samples")
+    freqs = counts / m
+    estimate = kl_divergence(p0, freqs)
     draws = rng.multinomial(m, freqs, size=n_resamples)
     # kl_divergence of every resample at once; one missing a support cell
     # divides by zero there and gets inf, as kl_divergence returns
-    support = p0.probs > 0.0
-    pv = p0.probs[support]
+    support = p0 > 0.0
+    pv = p0[support]
     q = draws[:, support] / m
     with np.errstate(divide="ignore"):
         kls = np.sum(pv * np.log(pv / q), axis=1)
@@ -157,7 +112,7 @@ def bootstrap_kl_ci(
     # percentile intervals should bracket the plug-in estimate up to
     # resampling noise: one resample standard error plus the (support-1)/(2M)
     # first-order bias that resampling re-adds on top of the estimate
-    slack = float(kls[finite].std()) + noise_floor(m, p0.n_states)
+    slack = float(kls[finite].std()) + noise_floor(m, p0.size)
     if math.isfinite(estimate) and not (lo - slack <= estimate <= hi + slack):
         raise NumericalError(
             f"bootstrap interval [{lo:.6g}, {hi:.6g}] does not bracket the "

@@ -1,23 +1,23 @@
 """Ready-to-sample reverse-process models.
 
-Both models implement the batch model protocol consumed by
-:mod:`thetaleap.engine` (see its module docstring).  Their rates are checked
-against independent per-state formulas in ``tests/kernel_oracle.py``.
+Both models take their target as a :class:`~thetaleap.masked.TargetTable`
+(the toy's is a d = 1 table over its S states) and implement the batch model
+protocol consumed by :mod:`thetaleap.engine` (see its module docstring).
+Their rates are checked against independent per-state formulas in
+``tests/kernel_oracle.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ctmc import ProbabilityVector
 from .errors import ConfigError, SingularScoreError
-from .masked import ConditionalOracle, NoiseSchedule, TargetTable
+from .masked import ConditionalOracle, NoiseSchedule, TargetTable, random_target_table
 
 
-def sample_simplex(n: int, rng: np.random.Generator) -> ProbabilityVector:
-    """Uniform draw from the probability simplex (normalized exponentials)."""
-    w = rng.standard_exponential(n)
-    return ProbabilityVector(w / w.sum())
+def sample_simplex(n: int, rng: np.random.Generator) -> TargetTable:
+    """Uniform draw from the probability simplex over n states, as a d = 1 table."""
+    return random_target_table(1, n, rng)
 
 
 class ToyUniformModel:
@@ -28,12 +28,14 @@ class ToyUniformModel:
     time T - s; the reverse process starts from the uniform distribution.
     """
 
-    def __init__(self, p0: ProbabilityVector, horizon: float = 12.0):
+    def __init__(self, p0: TargetTable, horizon: float = 12.0):
         if horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {horizon}")
+        if p0.d != 1:
+            raise ConfigError(f"the toy needs a d = 1 target table, got d = {p0.d}")
         self.p0 = p0
         self.horizon = horizon
-        self.S = p0.n_states
+        self.S = p0.S
         self.n_coords = 1
         self.slots_per_coord = self.S
 

@@ -214,6 +214,8 @@ def test_cli_exact_check_small_run(tmp_path):
 def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("samples=abc\n")
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("# d=1 S=15 \xe9t\xe9\n".encode("latin-1"))
     for argv in (
         ["--samples", "0"],
         ["--steps", "8,4"],
@@ -224,6 +226,8 @@ def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
         ["--method", ","],
         ["--theta", ","],
         ["--config", str(conf)],
+        ["--config", str(latin1)],
+        ["--target-file", str(latin1)],
     ):
         assert main(["toy-converge"] + argv) == 2
     monkeypatch.setenv("THETALEAP_WORKERS", "abc")
@@ -412,6 +416,13 @@ def test_cli_sweep_runs_on_one_pool_and_tasks_carry_no_model(tmp_path, pool_log)
     for task in tasks:
         assert isinstance(task[0], SolverConfig)
         assert b"ToyUniformModel" not in pickle.dumps(task)
+
+
+def test_cli_pool_starts_no_more_workers_than_chunks(tmp_path, pool_log):
+    # 20000 samples make two chunks, so two of the four requested workers suffice
+    pools, _ = pool_log
+    assert _toy_sweep(tmp_path, 20000, workers=4) == 0
+    assert len(pools) == 1 and pools[0]._max_workers == 2
 
 
 @pytest.mark.parametrize("samples, workers", [(CHUNK_SIZE + 100, 1), (1000, 2)])

@@ -1,4 +1,4 @@
-"""Probability vectors, and the toy's forward marginal and reverse rates.
+"""The toy's target as a d = 1 table, its forward marginal and reverse rates.
 
 The marginal is checked against ``scipy.linalg.expm`` of the uniform
 all-to-all generator, built here independently of the library.
@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from thetaleap.ctmc import ProbabilityVector
 from thetaleap.engine import run_sampler
 from thetaleap.errors import ConfigError, DataError, SingularScoreError
-from thetaleap.masked import load_target_table
+from thetaleap.masked import TargetTable, load_target_table
 from thetaleap.models import ToyUniformModel
 from thetaleap.solvers import SolverConfig, make_time_grid
 
@@ -26,7 +25,7 @@ def _generator(S):
 
 
 def _toy(probs, horizon=1.0):
-    return ToyUniformModel(ProbabilityVector(np.asarray(probs, dtype=float)), horizon=horizon)
+    return ToyUniformModel(TargetTable(probs), horizon=horizon)
 
 
 def _point_mass(S, x=0):
@@ -62,8 +61,8 @@ def test_uniform_rate_matrix_columns_sum_to_zero():
 
 
 def test_uniform_rate_matrix_rejects_small_s(tmp_path):
-    with pytest.raises(ConfigError):
-        ProbabilityVector(np.array([]))
+    with pytest.raises(DataError):
+        TargetTable(np.array([]))
     path = tmp_path / "t.txt"
     path.write_text("# d=1 S=0\n")
     with pytest.raises(DataError):
@@ -71,14 +70,14 @@ def test_uniform_rate_matrix_rejects_small_s(tmp_path):
 
 
 def test_probability_vector_validation():
-    with pytest.raises(ConfigError):
-        ProbabilityVector(np.array([0.6, 0.6]))
-    with pytest.raises(ConfigError):
-        ProbabilityVector(np.array([-0.1, 1.1]))
+    with pytest.raises(DataError):
+        TargetTable(np.array([0.6, 0.6]))
+    with pytest.raises(DataError):
+        TargetTable(np.array([-0.1, 1.1]))
     # NaN fails every comparison, so the sign and mass checks alone let it through
     for bad in ([0.5, np.nan], [np.nan, np.nan], [1.0, np.inf], [np.inf, -np.inf]):
-        with pytest.raises(ConfigError):
-            ProbabilityVector(np.array(bad))
+        with pytest.raises(DataError):
+            TargetTable(np.array(bad))
 
 
 def _reverse_generator(model, s):

@@ -9,7 +9,7 @@ from scipy import stats
 
 from thetaleap.engine import CHUNK_SIZE, ChunkPool, run_sampler, substream
 from thetaleap.errors import ConfigError, StepSizeError
-from thetaleap.masked import NoiseSchedule, random_target_table
+from thetaleap.masked import NoiseSchedule, TargetTable, random_target_table
 from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
 from thetaleap.models import MaskedToyModel, ToyUniformModel, sample_simplex
 from thetaleap.solvers import SolverConfig, make_time_grid
@@ -33,8 +33,7 @@ def test_batch_sampler_matches_exact_scheme_kernel(toy, method):
     grid = make_time_grid(HORIZON, 0.0, n_steps, 0.5)
     samples, _, _ = run_sampler(SolverConfig(method, grid, seed=5), toy, m)
     exact = exact_scheme_distribution(method, toy.p0.probs, HORIZON, n_steps, 0.5)
-    emp = empirical_distribution(samples, 15)
-    kl = kl_divergence(exact, emp)
+    kl = kl_divergence(exact, empirical_distribution(samples, 15) / m)
     assert kl < 3 * noise_floor(m, 15)
 
 
@@ -107,15 +106,13 @@ def test_rejection_fraction_decreases_with_steps(toy):
 def test_uniformity_preservation(toy):
     # uniform target: scores are identically one, so every sampler keeps the
     # uniform law (up to sampling error)
-    from thetaleap.ctmc import ProbabilityVector
-
-    uniform_model = ToyUniformModel(ProbabilityVector(np.full(15, 1 / 15)), horizon=HORIZON)
+    uniform_model = ToyUniformModel(TargetTable(np.full(15, 1 / 15)), horizon=HORIZON)
     m = 200_000
     for method in ("euler", "tau-leaping", "theta-rk2", "theta-trapezoidal", "uniformization"):
         n_steps = 16 if method == "euler" else 8
         grid = make_time_grid(HORIZON, 0.0, n_steps, 0.5)
         samples, _, _ = run_sampler(SolverConfig(method, grid, seed=3), uniform_model, m)
-        freqs = empirical_distribution(samples, 15).frequencies
+        freqs = empirical_distribution(samples, 15) / m
         assert np.abs(freqs - 1 / 15).max() < 5 * np.sqrt((1 / 15) * (14 / 15) / m)
 
 
@@ -129,7 +126,7 @@ def test_exact_sampler_distribution(toy):
     # uniformization reproduces the target at the estimator's noise floor
     grid = make_time_grid(HORIZON, 0.0, 32, 0.5)
     samples, tel, nfe = run_sampler(SolverConfig("uniformization", grid, seed=6), toy, 150_000)
-    kl = kl_divergence(toy.p0, empirical_distribution(samples, 15))
+    kl = kl_divergence(toy.p0.probs, empirical_distribution(samples, 15) / 150_000)
     assert kl < 5 * noise_floor(150_000, 15)
     assert nfe.var() > 0  # jump counts fluctuate across trajectories
     assert tel.nfe == nfe.sum()

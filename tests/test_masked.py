@@ -242,6 +242,14 @@ def test_target_table_load_rejects_malformed_fields(tmp_path, text):
         load_target_table(path)
 
 
+def test_target_table_load_rejects_non_utf8_bytes(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"# d=1 S=2\n0 0.5\n1 0.5 \xff\n")
+    with pytest.raises(DataError, match="not UTF-8") as excinfo:
+        load_target_table(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_target_table_load_accepts_the_largest_table_under_the_cap(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# d=6 S=10\n0 1.0\n")

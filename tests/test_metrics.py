@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaleap.ctmc import ProbabilityVector
 from thetaleap.errors import ConfigError, DataError
 from thetaleap.metrics import (
     bootstrap_kl_ci,
@@ -17,9 +16,9 @@ from thetaleap.metrics import (
 
 
 def test_empirical_distribution_counts():
-    emp = empirical_distribution(np.array([0, 0, 1]), 3)
-    assert np.array_equal(emp.counts, [2, 1, 0])
-    assert np.allclose(emp.frequencies, [2 / 3, 1 / 3, 0.0])
+    counts = empirical_distribution(np.array([0, 0, 1]), 3)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, [2, 1, 0])
 
 
 def test_empirical_distribution_rejects_empty_and_out_of_range():
@@ -32,12 +31,12 @@ def test_empirical_distribution_rejects_empty_and_out_of_range():
 def test_empirical_distribution_large_uniform_draw():
     m, S = 10**6, 15
     rng = np.random.default_rng(0)
-    emp = empirical_distribution(rng.integers(0, S, size=m), S)
-    assert np.abs(emp.frequencies - 1 / S).max() < 5 / np.sqrt(m)
+    counts = empirical_distribution(rng.integers(0, S, size=m), S)
+    assert np.abs(counts / m - 1 / S).max() < 5 / np.sqrt(m)
 
 
 def test_kl_identity_is_zero():
-    p = ProbabilityVector(np.array([0.1, 0.2, 0.7]))
+    p = np.array([0.1, 0.2, 0.7])
     assert kl_divergence(p, p) == 0.0
 
 
@@ -75,38 +74,38 @@ def test_noise_floor_values():
 
 
 def test_bootstrap_point_mass_zero_width():
-    p0 = ProbabilityVector(np.array([1.0, 0.0]))
-    report = bootstrap_kl_ci(np.zeros(100, dtype=int), p0, n_resamples=200)
+    p0 = np.array([1.0, 0.0])
+    report = bootstrap_kl_ci(np.array([100, 0]), p0, 200, 0.95, np.random.default_rng(0))
     assert report.estimate == 0.0
     assert report.ci_lo == report.ci_hi == 0.0
 
 
 def test_bootstrap_interval_brackets_estimate():
     rng = np.random.default_rng(1)
-    p0 = ProbabilityVector(np.full(10, 0.1))
-    samples = rng.integers(0, 10, size=50_000)
-    report = bootstrap_kl_ci(samples, p0, rng=np.random.default_rng(2))
+    p0 = np.full(10, 0.1)
+    counts = empirical_distribution(rng.integers(0, 10, size=50_000), 10)
+    report = bootstrap_kl_ci(counts, p0, 1000, 0.95, np.random.default_rng(2))
     assert report.ci_lo <= report.ci_hi
     assert report.n_samples == 50_000
     assert report.n_infinite_resamples == 0
 
 
 def test_bootstrap_ci_width_shrinks_with_sample_size():
-    p0 = ProbabilityVector(np.full(6, 1 / 6))
+    p0 = np.full(6, 1 / 6)
     rng = np.random.default_rng(3)
     widths = []
     for m in (10**3, 10**5):
-        samples = rng.integers(0, 6, size=m)
-        r = bootstrap_kl_ci(samples, p0, rng=np.random.default_rng(4))
+        counts = empirical_distribution(rng.integers(0, 6, size=m), 6)
+        r = bootstrap_kl_ci(counts, p0, 1000, 0.95, np.random.default_rng(4))
         widths.append(r.ci_hi - r.ci_lo)
     assert widths[1] / widths[0] < 0.2
 
 
 def test_bootstrap_converges_to_plugin_estimate():
     rng = np.random.default_rng(5)
-    p0 = ProbabilityVector(np.full(5, 0.2))
-    samples = rng.integers(0, 5, size=20_000)
-    r = bootstrap_kl_ci(samples, p0, n_resamples=10_000, rng=np.random.default_rng(6))
+    p0 = np.full(5, 0.2)
+    counts = empirical_distribution(rng.integers(0, 5, size=20_000), 5)
+    r = bootstrap_kl_ci(counts, p0, 10_000, 0.95, np.random.default_rng(6))
     # resample mean exceeds the plug-in estimate by about one more bias unit;
     # the percentile interval still brackets it within a resample sd
     assert r.ci_lo - 2 * noise_floor(20_000, 5) <= r.estimate <= r.ci_hi
@@ -115,9 +114,8 @@ def test_bootstrap_converges_to_plugin_estimate():
 def test_bootstrap_infinite_resamples_flagged():
     # one never-observed state with tiny target mass: resamples are all
     # infinite for the plug-in estimator
-    p0 = ProbabilityVector(np.array([0.5, 0.49, 0.01]))
-    samples = np.array([0, 1] * 50)
-    r = bootstrap_kl_ci(samples, p0, n_resamples=100, rng=np.random.default_rng(7))
+    p0 = np.array([0.5, 0.49, 0.01])
+    r = bootstrap_kl_ci(np.array([50, 50, 0]), p0, 100, 0.95, np.random.default_rng(7))
     assert r.estimate == math.inf
     assert r.n_infinite_resamples == 100
 
@@ -125,10 +123,10 @@ def test_bootstrap_infinite_resamples_flagged():
 def test_bootstrap_matches_per_resample_kl_divergence():
     # the array pass equals kl_divergence resample by resample, infinite
     # resamples (state 2 not redrawn) and a zero-mass target cell included
-    p0 = ProbabilityVector(np.array([0.45, 0.45, 0.1, 0.0]))
-    samples = np.array([0] * 100 + [1] * 97 + [2] * 3)
-    r = bootstrap_kl_ci(samples, p0, n_resamples=500, rng=np.random.default_rng(8))
-    draws = np.random.default_rng(8).multinomial(200, np.bincount(samples, minlength=4) / 200, size=500)
+    p0 = np.array([0.45, 0.45, 0.1, 0.0])
+    counts = np.array([100, 97, 3, 0])
+    r = bootstrap_kl_ci(counts, p0, 500, 0.95, np.random.default_rng(8))
+    draws = np.random.default_rng(8).multinomial(200, counts / 200, size=500)
     kls = np.array([kl_divergence(p0, d / 200) for d in draws])
     finite = np.isfinite(kls)
     assert 0 < r.n_infinite_resamples == (~finite).sum() < 500
@@ -137,11 +135,14 @@ def test_bootstrap_matches_per_resample_kl_divergence():
 
 
 def test_bootstrap_validation():
-    p0 = ProbabilityVector(np.array([1.0, 0.0]))
+    p0 = np.array([1.0, 0.0])
+    rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        bootstrap_kl_ci(np.zeros(10, dtype=int), p0, n_resamples=1)
+        bootstrap_kl_ci(np.array([10, 0]), p0, 1, 0.95, rng)
     with pytest.raises(ConfigError):
-        bootstrap_kl_ci(np.zeros(10, dtype=int), p0, level=1.2)
+        bootstrap_kl_ci(np.array([10, 0]), p0, 1000, 1.2, rng)
+    with pytest.raises(DataError):
+        bootstrap_kl_ci(np.array([0, 0]), p0, 1000, 0.95, rng)
 
 
 def test_fit_exact_slopes():

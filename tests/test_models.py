@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from thetaleap.ctmc import ProbabilityVector
 from thetaleap.engine import CHUNK_SIZE, ChunkPool, run_sampler, substream
 from thetaleap.errors import ConfigError
-from thetaleap.masked import NoiseSchedule, random_target_table
+from thetaleap.masked import NoiseSchedule, TargetTable, random_target_table
 from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
 from thetaleap.models import MaskedToyModel, ToyUniformModel, sample_simplex
 from thetaleap.solvers import SolverConfig, StepTelemetry, make_time_grid
@@ -20,6 +19,7 @@ def toy():
 def test_sample_simplex_is_valid_distribution():
     for seed in range(5):
         p = sample_simplex(15, np.random.default_rng(seed))
+        assert p.d == 1 and p.S == 15
         assert p.probs.min() > 0
         assert abs(p.probs.sum() - 1.0) < 1e-12
 
@@ -76,10 +76,16 @@ def test_toy_total_bound_dominates(toy):
 
 
 def test_toy_zero_mass_target_needs_early_stop():
-    p0 = ProbabilityVector(np.array([0.5, 0.5, 0.0]))
+    p0 = TargetTable(np.array([0.5, 0.5, 0.0]))
     model = ToyUniformModel(p0, horizon=5.0)
     with pytest.raises(ConfigError):
         model.total_bound(0.0, 5.0)
+
+
+def test_toy_rejects_multi_dimensional_table():
+    # the toy's p0 is a d = 1 table; a joint table over [S]^2 is not one
+    with pytest.raises(ConfigError):
+        ToyUniformModel(random_target_table(2, 3, np.random.default_rng(0)))
 
 
 def test_masked_unmask_rate_scale_is_inverse_time():
@@ -136,8 +142,7 @@ def test_masked_finalize_fill_is_conditionally_exact():
     filled = model.finalize_batch(states, np.random.default_rng(2), tel)
     assert not any(np.any(masked_tokens(label, 3, 4) == 4) for label in np.unique(filled))
     assert tel.final_fill_evals == 3 * m
-    emp = empirical_distribution(model.encode(filled), 64)
-    kl = kl_divergence(table.flat(), emp)
+    kl = kl_divergence(table.flat(), empirical_distribution(model.encode(filled), 64) / m)
     assert kl < 3 * noise_floor(m, 64)
 
 
@@ -161,11 +166,10 @@ def test_masked_reverse_consistency_medium_scale():
     # a fine trapezoidal grid reproduces the joint target near the noise floor
     table = random_target_table(3, 4, substream(0, 102))
     model = MaskedToyModel(table, NoiseSchedule(1e-3))
-    target = ProbabilityVector(table.flat())
     m = 60_000
     grid = make_time_grid(1.0, 1e-3, 128, 0.5)
     samples, _, _ = run_sampler(SolverConfig("theta-trapezoidal", grid, seed=8), model, m)
-    kl = kl_divergence(target, empirical_distribution(samples, 64))
+    kl = kl_divergence(table.flat(), empirical_distribution(samples, 64) / m)
     assert kl < 3 * noise_floor(m, 64)
 
 
