@@ -7,7 +7,7 @@ schemes) run by :func:`thetaleap.engine.run_sampler`, and a statistical
 harness for KL-based convergence studies.
 """
 
-from .engine import run_sampler
+from .engine import SolverConfig, StepTelemetry, TimeGrid, alpha_coefficients, run_sampler
 from .masked import (
     ConditionalOracle,
     NoiseSchedule,
@@ -25,12 +25,5 @@ from .metrics import (
     noise_floor,
 )
 from .models import MaskedToyModel, ToyUniformModel, sample_simplex
-from .solvers import (
-    SolverConfig,
-    StepTelemetry,
-    TimeGrid,
-    alpha_coefficients,
-    make_time_grid,
-)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .engine import ChunkPool, run_sampler, substream
+from .engine import ChunkPool, SolverConfig, TimeGrid, run_sampler, substream
 from .errors import ConfigError, DataError, NumericalError, ThetaLeapError
 from .masked import NoiseSchedule, TargetTable, load_target_table, random_target_table
 from .metrics import (
@@ -36,7 +36,6 @@ from .metrics import (
     noise_floor,
 )
 from .models import MaskedToyModel, ToyUniformModel, sample_simplex
-from .solvers import SolverConfig, make_time_grid
 
 WORKERS_ENV = "THETALEAP_WORKERS"
 TOY_STATES = 15
@@ -240,9 +239,7 @@ def _sweep(config: ExperimentConfig, model, target: TargetTable):
     one chunk pool, whose workers (if any start) are joined before this returns.
     """
     cells = [
-        SolverConfig(
-            method, make_time_grid(config.horizon, config.delta, n_steps, theta), config.seed
-        )
+        SolverConfig(method, TimeGrid(config.horizon, config.delta, n_steps, theta), config.seed)
         for method in config.method
         for theta in config.theta
         for n_steps in config.steps

@@ -1,7 +1,14 @@
-"""Chunked, vectorized trajectory execution: the one implementation of every scheme.
+"""Run description and chunked, vectorized execution: the one implementation of every scheme.
 
-The exact one-interval kernels in ``tests/kernel_oracle.py`` are the
-reference this engine is checked against.
+Five methods are available (``METHODS``): Euler (linearized categorical),
+tau-leaping, uniformization (exact via thinning), and the two-stage
+theta-RK-2 and theta-Trapezoidal schemes.  A run is a :class:`SolverConfig`:
+a method, a seed and a :class:`TimeGrid`, the uniform reverse-time grid on
+[0, T - delta] with the theta-section points at which the two-stage methods
+evaluate their intermediate intensity.  :func:`run_sampler` runs it and
+reports the counters of :class:`StepTelemetry`.  The exact one-interval
+kernels in ``tests/kernel_oracle.py`` are the reference this engine is
+checked against.
 
 Trajectories are processed in fixed-size chunks.  Every random draw comes
 from a Philox stream keyed by (seed, purpose, chunk, interval, stage), so
@@ -49,12 +56,18 @@ reproducibility contract, like ``CHUNK_SIZE``.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import BoundViolationError, ConfigError, NumericalError, StepSizeError, ThetaLeapError
-from .solvers import BOUND_RTOL, SolverConfig, StepTelemetry, alpha_coefficients
+
+METHODS = ("euler", "tau-leaping", "uniformization", "theta-rk2", "theta-trapezoidal")
+
+# Relative slack when checking a dominating bound against observed totals.
+BOUND_RTOL = 1e-9
 
 CHUNK_SIZE = 16384
 ENVELOPE_PIECES = 16
@@ -64,6 +77,113 @@ TAG_INIT = 1
 TAG_STEP = 2
 TAG_UNIF = 3
 TAG_FILL = 4
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """Uniform reverse-time grid 0 = s_0 < ... < s_N = horizon - delta, N = n_intervals.
+
+    ``rho[n] = s_n + theta (s_{n+1} - s_n)`` are the section points at which
+    the two-stage methods evaluate the intermediate intensity.
+    """
+
+    horizon: float
+    delta: float
+    n_intervals: int
+    theta: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.delta < self.horizon):
+            raise ConfigError(f"need 0 <= delta < T, got delta={self.delta}, T={self.horizon}")
+        if self.n_intervals < 1:
+            raise ConfigError(f"need at least one step, got N={self.n_intervals}")
+        if not (0.0 < self.theta <= 1.0):
+            raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
+        points = np.linspace(0.0, self.horizon - self.delta, self.n_intervals + 1)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+
+    @property
+    def deltas(self) -> np.ndarray:
+        return np.diff(self.points)
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.points[:-1] + self.theta * self.deltas
+
+
+def alpha_coefficients(theta: float) -> tuple[float, float]:
+    """Extrapolation weights (alpha1, alpha2) with alpha1 - alpha2 = 1.
+
+    alpha1 = 1 / (2 theta (1 - theta)) and
+    alpha2 = ((1 - theta)^2 + theta^2) / (2 theta (1 - theta)); both diverge
+    at theta in {0, 1}, where the trapezoidal split degenerates.
+    """
+    if not (0.0 < theta < 1.0):
+        raise ConfigError(f"the theta-trapezoidal weights need theta in (0, 1), got {theta}")
+    denom = 2.0 * theta * (1.0 - theta)
+    a1 = 1.0 / denom
+    a2 = ((1.0 - theta) ** 2 + theta**2) / denom
+    return a1, a2
+
+
+@dataclass
+class StepTelemetry:
+    """Counters accumulated over one or many step updates.
+
+    ``nfe`` counts intensity evaluations, one per trajectory per call.  ``attempted_updates`` and
+    ``drawn_jumps`` are bookkeeping beyond the core counters: the former
+    normalizes rejection rates, the latter exposes pre-rejection Poisson
+    counts for distributional checks.
+    """
+
+    nfe: int = 0
+    rejected_steps: int = 0
+    negative_intensity_events: int = 0
+    total_intensity_terms: int = 0
+    attempted_updates: int = 0
+    drawn_jumps: int = 0
+    final_fill_evals: int = 0
+
+    @property
+    def positivity_fraction(self) -> float:
+        if self.total_intensity_terms == 0:
+            return 1.0
+        return 1.0 - self.negative_intensity_events / self.total_intensity_terms
+
+    @property
+    def rejection_fraction(self) -> float:
+        if self.attempted_updates == 0:
+            return 0.0
+        return self.rejected_steps / self.attempted_updates
+
+    def merge(self, other: "StepTelemetry") -> None:
+        """Add every counter of ``other`` to this one."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Method selection plus everything needed to reproduce a run."""
+
+    method: str
+    grid: TimeGrid
+    seed: int
+
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        theta = self.grid.theta
+        if self.method == "theta-trapezoidal":
+            alpha_coefficients(theta)  # raises where the weights are undefined
+        if self.method == "theta-rk2" and theta > 0.5:
+            warnings.warn(
+                f"theta-rk2 with theta={theta} > 1/2: second-order accuracy is "
+                "only guaranteed for theta <= 1/2",
+                # past __post_init__ and the dataclass __init__ to the caller
+                stacklevel=3,
+            )
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -100,10 +220,22 @@ def _leap_batch(model, states, rates, dt, rng, tel: StepTelemetry):
     return states
 
 
+def categorical(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of nonnegative ``weights``, the first slot whose cumulative weight exceeds ``u``.
+
+    ``u`` is clamped just below the row's own cumulative total, which can sit
+    below a total summed in another order; the slot found then always has
+    positive weight.
+    """
+    cum = np.cumsum(weights, axis=1)
+    u = np.minimum(u, np.nextafter(cum[:, -1], 0.0))
+    return (u[:, None] < cum).argmax(axis=1)
+
+
 def _jump(model, states, rows, weights, u, tel: StepTelemetry) -> None:
     """Move each of ``rows`` to the slot where its uniform ``u`` falls in the
     cumulative ``weights`` (one row each), in place, counting the jumps."""
-    idx = (u[:, None] < np.cumsum(weights, axis=1)).argmax(axis=1)
+    idx = categorical(weights, u)
     model.apply(states, rows, idx // model.slots_per_coord, idx % model.slots_per_coord)
     tel.drawn_jumps += rows.size
 

@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 
+# How far from 1 the mass of a law given to kl_divergence may be: rounding
+# only, so a histogram passed where its frequencies belong is caught.
+LAW_SUM_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class KLReport:
@@ -53,19 +57,26 @@ def empirical_distribution(samples: np.ndarray, n_states: int) -> np.ndarray:
     return np.bincount(samples, minlength=n_states)
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """Plug-in KL divergence sum_i p_i log(p_i / q_i) in nats.
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+    """Plug-in KL divergence sum_i p_i log(p_i / q_i) in nats, for each law ``q``
+    along its last axis: a float for one law, an array for a stack of them.
 
-    Returns inf when q lacks mass somewhere p has it.
+    ``p`` and every ``q`` must sum to 1 within ``LAW_SUM_ATOL``.  The value
+    is inf where q lacks mass somewhere p has it.
     """
     pv = np.asarray(p, dtype=float)
     qv = np.asarray(q, dtype=float)
-    if pv.shape != qv.shape:
+    if pv.ndim != 1 or qv.shape[-1:] != pv.shape:
         raise DataError(f"shape mismatch: {pv.shape} vs {qv.shape}")
+    for name, law in (("p", pv), ("q", qv)):
+        off = np.abs(law.sum(axis=-1) - 1.0)
+        if np.any(off > LAW_SUM_ATOL):
+            raise DataError(f"{name} is not a law: its mass is off 1 by {off.max():.6g}")
     support = pv > 0.0
-    if np.any(qv[support] == 0.0):
-        return math.inf
-    return float(np.sum(pv[support] * np.log(pv[support] / qv[support])))
+    pv = pv[support]
+    with np.errstate(divide="ignore"):
+        kl = np.sum(pv * np.log(pv / qv[..., support]), axis=-1)
+    return float(kl) if kl.ndim == 0 else kl
 
 
 def noise_floor(n_samples: int, support: int) -> float:
@@ -82,9 +93,9 @@ def bootstrap_kl_ci(
 
     ``counts`` is a histogram from :func:`empirical_distribution`.
     Resampling M draws with replacement is done as one multinomial draw over
-    the observed frequencies per resample, and the resample KLs are taken in
-    one array pass over those draws.  Infinite resample KLs are counted and
-    excluded from the percentile computation.
+    the observed frequencies per resample, and the resample KLs are taken by
+    one :func:`kl_divergence` call over those draws.  Infinite resample KLs
+    are counted and excluded from the percentile computation.
     """
     if n_resamples < 2:
         raise ConfigError(f"need at least 2 resamples, got {n_resamples}")
@@ -95,14 +106,8 @@ def bootstrap_kl_ci(
         raise DataError("the histogram holds no samples")
     freqs = counts / m
     estimate = kl_divergence(p0, freqs)
-    draws = rng.multinomial(m, freqs, size=n_resamples)
-    # kl_divergence of every resample at once; one missing a support cell
-    # divides by zero there and gets inf, as kl_divergence returns
-    support = p0 > 0.0
-    pv = p0[support]
-    q = draws[:, support] / m
-    with np.errstate(divide="ignore"):
-        kls = np.sum(pv * np.log(pv / q), axis=1)
+    # one resample missing a support cell reads inf
+    kls = kl_divergence(p0, rng.multinomial(m, freqs, size=n_resamples) / m)
     finite = np.isfinite(kls)
     n_inf = int(n_resamples - finite.sum())
     if not finite.any():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .engine import categorical
 from .errors import ConfigError, SingularScoreError
 from .masked import ConditionalOracle, NoiseSchedule, TargetTable, random_target_table
 
@@ -114,6 +115,8 @@ class MaskedToyModel:
     """
 
     def __init__(self, table: TargetTable, schedule: NoiseSchedule | None = None, horizon: float = 1.0):
+        if not (0.0 < horizon <= 1.0):
+            raise ConfigError(f"horizon must lie in (0, 1], the noise schedule's time domain; got {horizon}")
         self.table = table
         self.schedule = schedule if schedule is not None else NoiseSchedule()
         self.horizon = horizon
@@ -186,9 +189,7 @@ class MaskedToyModel:
             first = self._first[todo]
             cond = self._conditionals(todo).reshape(-1, self.d, self.S)[todo, first, :]
             tel.final_fill_evals += int(rows.size)
-            cum = np.cumsum(cond, axis=1)
-            u = rng.random(rows.size)
-            vals = np.minimum((cum < u[:, None]).sum(axis=1), self.S - 1)
+            vals = categorical(cond, rng.random(rows.size))
             labels[rows] += (vals - self.S) * self._digit[first]
         return labels
 

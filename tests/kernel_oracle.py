@@ -2,9 +2,10 @@
 
 The sampler schemes on the 1-D toy admit exact one-step transition kernels:
 with frozen per-target rates r_w and the one-jump-per-update rule, the
-probability of landing on w is r_w * dt * exp(-lam * dt) and the rest of the
-mass stays.  Composing these 15x15 kernels gives the scheme's *exact*
-terminal distribution, against which empirical sampler output is checked.
+probability of landing on w is r_w * dt * exp(-lam * dt) (Euler: r_w * dt)
+and the rest of the mass stays.  Composing these 15x15 kernels gives the
+scheme's *exact* terminal distribution, against which empirical sampler
+output is checked.
 The masked model gets the same treatment over its (S+1)^d labels: frozen
 per-slot rates from brute-force conditionals, a per-coordinate jump count
 with whole-update rejection, the same two-stage composition, and the exact
@@ -41,16 +42,33 @@ def _leap_row(rates_row: np.ndarray, dt: float, start: int) -> np.ndarray:
     return row
 
 
+def _euler_row(rates_row: np.ndarray, dt: float, start: int) -> np.ndarray:
+    """One Euler update out of toy state ``start``: to w with probability
+    rate_w * dt, and the rest of the mass stays."""
+    row = rates_row * dt
+    row[start] = 0.0
+    row[start] = 1.0 - row.sum()
+    return row
+
+
 def scheme_kernel(
-    method: str, rates_at, s: float, rho: float, dt: float, theta: float, leap_row=_leap_row
+    method: str,
+    rates_at,
+    s: float,
+    rho: float,
+    dt: float,
+    theta: float,
+    leap_row=_leap_row,
+    euler_row=_euler_row,
 ) -> np.ndarray:
-    """Exact one-interval kernel of tau-leaping or a two-stage scheme.
+    """Exact one-interval kernel of Euler, tau-leaping or a two-stage scheme.
 
     ``rates_at(s)`` must return the rate table at reverse time s, one row per
-    state, and ``leap_row(rates_row, dt, start)`` the one-update law out of
-    state ``start`` under those frozen rates (the toy's by default).
-    Two-stage kernels marginalize over the intermediate state reached by the
-    stage-one leap.
+    state, and ``leap_row(rates_row, dt, start)`` and
+    ``euler_row(rates_row, dt, start)`` the one-update laws out of state
+    ``start`` under those frozen rates (the toy's by default).  Two-stage
+    kernels marginalize over the intermediate state reached by the stage-one
+    leap.
     """
     mu0 = rates_at(s)
     n = mu0.shape[0]
@@ -58,6 +76,8 @@ def scheme_kernel(
     def leap(rates, step):
         return np.array([leap_row(rates[y], step, y) for y in range(n)])
 
+    if method == "euler":
+        return np.array([euler_row(mu0[y], dt, y) for y in range(n)])
     if method == "tau-leaping":
         return leap(mu0, dt)
     mur = rates_at(rho)
@@ -182,6 +202,20 @@ def masked_leap_row(rates_row: np.ndarray, dt: float, start: int, S: int) -> np.
     return row
 
 
+def masked_euler_row(rates_row: np.ndarray, dt: float, start: int, S: int) -> np.ndarray:
+    """One Euler update over labels out of ``start``: slot (l, v) sets position
+    l to v with probability rate * dt, and the rest of the mass stays."""
+    d = rates_row.size // S
+    tokens = masked_tokens(start, d, S)
+    row = np.zeros((S + 1) ** d)
+    for slot, rate in enumerate(rates_row):
+        end = tokens.copy()
+        end[slot // S] = slot % S
+        row[masked_label(end, S)] += rate * dt
+    row[start] += 1.0 - row.sum()
+    return row
+
+
 def masked_fill_kernel(table: np.ndarray) -> np.ndarray:
     """fill[label, index]: the target's law of a full sequence given the label's
     unmasked positions, over row-major table indices."""
@@ -216,6 +250,7 @@ def exact_masked_distribution(
             dt,
             theta,
             leap_row=lambda r, h, y: masked_leap_row(r, h, y, S),
+            euler_row=lambda r, h, y: masked_euler_row(r, h, y, S),
         )
         q = q @ k
     return q @ masked_fill_kernel(table)

@@ -18,9 +18,8 @@ import pytest
 from scipy import stats
 
 from thetaleap.cli import COMMANDS, build_config, cmd_masked_converge, cmd_toy_converge, main
+from thetaleap.engine import SolverConfig, TimeGrid, run_sampler
 from thetaleap.metrics import fit_loglog_slope, noise_floor
-from thetaleap.engine import run_sampler
-from thetaleap.solvers import SolverConfig, make_time_grid
 
 from tiny_models import ConstantRates, drawn_per_trajectory, record_poisson
 
@@ -147,7 +146,7 @@ def test_criterion_6_homogeneous_intensity_is_poisson(monkeypatch):
     n_draws = 10**5
 
     draws = record_poisson(monkeypatch)
-    config = SolverConfig("theta-trapezoidal", make_time_grid(dt, 0.0, 1, theta), seed=2024)
+    config = SolverConfig("theta-trapezoidal", TimeGrid(dt, 0.0, 1, theta), seed=2024)
     _, tel, _ = run_sampler(config, ConstantRates([[mu]]), n_draws)
     counts = drawn_per_trajectory(draws)
     assert counts.size == n_draws and counts.sum() == tel.drawn_jumps

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -23,9 +24,8 @@ from thetaleap.cli import (
     main,
     parse_results,
 )
-from thetaleap.engine import CHUNK_SIZE
+from thetaleap.engine import CHUNK_SIZE, SolverConfig
 from thetaleap.errors import ConfigError, DataError
-from thetaleap.solvers import SolverConfig
 
 
 def _rows():
@@ -236,19 +236,26 @@ def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "method,theta",
+    "argv",
     [
-        ("tau-leaping,bogus", "0.5"),
-        ("euler,bogus", "0.5"),
-        ("tau-leaping,theta-trapezoidal", "0.5,1"),
+        pytest.param(
+            ["toy-converge", "--method", "tau-leaping,bogus", "--theta", "0.5"],
+            id="tau-leaping,bogus-0.5",
+        ),
+        pytest.param(["toy-converge", "--method", "euler,bogus", "--theta", "0.5"], id="euler,bogus-0.5"),
+        pytest.param(
+            ["toy-converge", "--method", "tau-leaping,theta-trapezoidal", "--theta", "0.5,1"],
+            id="tau-leaping,theta-trapezoidal-0.5,1",
+        ),
+        # the masked schedule is defined on (0, 1] only
+        pytest.param(["masked-converge", "--horizon", "2"], id="masked-horizon-2"),
     ],
 )
-def test_cli_rejects_a_bad_sweep_cell_before_sampling(tmp_path, monkeypatch, method, theta):
+def test_cli_rejects_a_bad_sweep_cell_before_sampling(tmp_path, monkeypatch, argv):
     calls = []
     monkeypatch.setattr(cli, "run_sampler", lambda *a, **k: calls.append(a))
     code = main(
-        ["toy-converge", "--samples", "1000", "--steps", "4", "--method", method,
-         "--theta", theta, "--bootstrap", "10", "--out", str(tmp_path / "x.csv")]
+        argv + ["--samples", "1000", "--steps", "4", "--bootstrap", "10", "--out", str(tmp_path / "x.csv")]
     )
     assert code == 2
     assert calls == []
@@ -479,3 +486,39 @@ def test_cli_json_output(tmp_path):
     payload = json.loads(out.read_text())
     assert len(payload["rows"]) == 2
     assert "fits" in payload
+
+
+# Seed-0 outputs pinned byte for byte, with the wall_ms column dropped.  A
+# change that moves a random stream must update these digests openly.
+PINNED_OUTPUTS = {
+    "toy": (
+        ["toy-converge", "--samples", "2000", "--steps", "64,128",
+         "--method", "euler,tau-leaping,theta-rk2,theta-trapezoidal", "--bootstrap", "50"],
+        "f680623416ce64199b93c19491044ab4d2a363e05cbddb4665a690b955de597c",
+    ),
+    "masked": (
+        ["masked-converge", "--samples", "20000", "--steps", "4,8", "--delta", "0.5",
+         "--method", "euler,tau-leaping,theta-trapezoidal", "--bootstrap", "50"],
+        "4faa4249e782fcdc4e21ed8534d8a2a0d152a1582dbc84b7099aac04be88d0d0",
+    ),
+    "exact-check": (
+        ["exact-check", "--samples", "2000", "--steps", "4", "--bootstrap", "50"],
+        "5e1771fbd5b2f522473493594ac0d888913321422ea39daafadb7aed8613a1d4",
+    ),
+    "two-chunk": (
+        ["toy-converge", "--samples", str(CHUNK_SIZE + 100), "--steps", "2",
+         "--method", "theta-trapezoidal", "--bootstrap", "50"],
+        "5eb00223292c4218abb50dc0e164566f9f5f5c07048a0197b0183d2ce0ec1dec",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_OUTPUTS))
+def test_cli_output_bytes_are_pinned(tmp_path, name):
+    argv, digest = PINNED_OUTPUTS[name]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--seed", "0", "--out", str(out)]) == 0
+    wall = CSV_HEADER.split(",").index("wall_ms")
+    cells = [line.split(",") for line in out.read_text().splitlines()]
+    text = "".join(",".join(c[:wall] + c[wall + 1 :]) + "\n" for c in cells)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from thetaleap.engine import run_sampler
+from thetaleap.engine import SolverConfig, TimeGrid, run_sampler
 from thetaleap.errors import ConfigError, DataError, SingularScoreError
 from thetaleap.masked import TargetTable, load_target_table
 from thetaleap.models import ToyUniformModel
-from thetaleap.solvers import SolverConfig, make_time_grid
 
 from kernel_oracle import toy_reverse_rates, two_state_marginal
 
@@ -138,7 +137,7 @@ def test_closed_marginal_rejects_negative_time():
     with pytest.raises(ConfigError):
         _toy([1.0, 0.0], horizon=-0.1)
     with pytest.raises(ConfigError):
-        make_time_grid(1.0, -0.1, 4, 0.5)
+        TimeGrid(1.0, -0.1, 4, 0.5)
 
 
 def test_general_marginal_identity_at_t_zero():
@@ -261,7 +260,7 @@ def test_backward_intensity_infinite_score_raises():
     # state has an infinite score: the engine raises a typed error naming the
     # trajectories instead of drawing from an infinite rate
     with pytest.warns(UserWarning):
-        config = SolverConfig("theta-rk2", make_time_grid(1.0, 0.0, 2, 1.0), seed=0)
+        config = SolverConfig("theta-rk2", TimeGrid(1.0, 0.0, 2, 1.0), seed=0)
     with pytest.raises(SingularScoreError, match="trajectories"):
         run_sampler(config, _toy([0.5, 0.5, 0.0]), 100)
 

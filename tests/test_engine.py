@@ -7,12 +7,20 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from thetaleap.engine import CHUNK_SIZE, ChunkPool, run_sampler, substream
+from thetaleap import engine
+from thetaleap.engine import (
+    CHUNK_SIZE,
+    ChunkPool,
+    SolverConfig,
+    StepTelemetry,
+    TimeGrid,
+    run_sampler,
+    substream,
+)
 from thetaleap.errors import ConfigError, StepSizeError
 from thetaleap.masked import NoiseSchedule, TargetTable, random_target_table
 from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
 from thetaleap.models import MaskedToyModel, ToyUniformModel, sample_simplex
-from thetaleap.solvers import SolverConfig, make_time_grid
 
 from kernel_oracle import exact_masked_distribution, exact_scheme_distribution
 
@@ -25,26 +33,30 @@ def toy():
     return ToyUniformModel(p0, horizon=HORIZON)
 
 
-@pytest.mark.parametrize("method", ["tau-leaping", "theta-rk2", "theta-trapezoidal"])
+@pytest.mark.parametrize("method", ["euler", "tau-leaping", "theta-rk2", "theta-trapezoidal"])
 def test_batch_sampler_matches_exact_scheme_kernel(toy, method):
     # the engine's empirical law must sit at the plug-in noise floor of the
-    # scheme's exact terminal law computed by kernel composition
-    n_steps, m = 8, 120_000
-    grid = make_time_grid(HORIZON, 0.0, n_steps, 0.5)
+    # scheme's exact terminal law computed by kernel composition; on this
+    # target Euler needs 24 steps or more for its transition probabilities
+    # to stay below 1
+    n_steps, m = (32 if method == "euler" else 8), 120_000
+    grid = TimeGrid(HORIZON, 0.0, n_steps, 0.5)
     samples, _, _ = run_sampler(SolverConfig(method, grid, seed=5), toy, m)
     exact = exact_scheme_distribution(method, toy.p0.probs, HORIZON, n_steps, 0.5)
     kl = kl_divergence(exact, empirical_distribution(samples, 15) / m)
     assert kl < 3 * noise_floor(m, 15)
 
 
-@pytest.mark.parametrize("method", ["tau-leaping", "theta-rk2", "theta-trapezoidal"])
+@pytest.mark.parametrize("method", ["euler", "tau-leaping", "theta-rk2", "theta-trapezoidal"])
 def test_masked_sampler_matches_exact_scheme_kernel(method):
     # a coarse grid keeps the scheme's law far from the target, so this
-    # checks the engine on masked labels against the scheme itself
-    eps, delta, n_steps, m = 1e-3, 1e-3, 4, 200_000
+    # checks the engine on masked labels against the scheme itself; Euler
+    # stops early at T - 0.5, where its transition probabilities stay below 1
+    eps, n_steps, m = 1e-3, 4, 200_000
+    delta = 0.5 if method == "euler" else 1e-3
     table = random_target_table(2, 3, substream(3, 103))
     model = MaskedToyModel(table, NoiseSchedule(eps))
-    grid = make_time_grid(1.0, delta, n_steps, 0.5)
+    grid = TimeGrid(1.0, delta, n_steps, 0.5)
     samples, _, _ = run_sampler(SolverConfig(method, grid, seed=9), model, m)
     exact = exact_masked_distribution(method, table.probs, eps, 1.0, delta, n_steps, 0.5)
     observed = np.bincount(samples, minlength=9)
@@ -54,7 +66,7 @@ def test_masked_sampler_matches_exact_scheme_kernel(method):
 
 
 def test_worker_count_does_not_change_samples(toy):
-    grid = make_time_grid(HORIZON, 0.0, 4, 0.5)
+    grid = TimeGrid(HORIZON, 0.0, 4, 0.5)
     cfg = SolverConfig("theta-trapezoidal", grid, seed=9)
     m = CHUNK_SIZE + 1000  # force two chunks
     s1, t1, _ = run_sampler(cfg, toy, m)
@@ -69,7 +81,7 @@ def test_run_sampler_without_a_pool_opens_and_joins_its_own(toy, pool_log):
     # without a pool every chunk runs in this process; a pool of two workers
     # gets one task per chunk and joins them when its block ends
     pools, tasks = pool_log
-    cfg = SolverConfig("tau-leaping", make_time_grid(HORIZON, 0.0, 2, 0.5), seed=9)
+    cfg = SolverConfig("tau-leaping", TimeGrid(HORIZON, 0.0, 2, 0.5), seed=9)
     run_sampler(cfg, toy, CHUNK_SIZE + 10)
     assert pools == [] and tasks == []
     with ChunkPool(toy, 2) as pool:
@@ -80,7 +92,7 @@ def test_run_sampler_without_a_pool_opens_and_joins_its_own(toy, pool_log):
 
 
 def test_chunk_pool_serves_only_its_model(toy):
-    cfg = SolverConfig("tau-leaping", make_time_grid(HORIZON, 0.0, 2, 0.5), seed=9)
+    cfg = SolverConfig("tau-leaping", TimeGrid(HORIZON, 0.0, 2, 0.5), seed=9)
     with ChunkPool(toy, workers=2) as pool:
         with pytest.raises(ConfigError):
             run_sampler(cfg, ToyUniformModel(toy.p0, horizon=HORIZON), 10, pool=pool)
@@ -89,7 +101,7 @@ def test_chunk_pool_serves_only_its_model(toy):
 def test_nfe_accounting(toy):
     m = 5000
     for method, per_step in (("tau-leaping", 1), ("theta-rk2", 2), ("theta-trapezoidal", 2)):
-        grid = make_time_grid(HORIZON, 0.0, 6, 0.5)
+        grid = TimeGrid(HORIZON, 0.0, 6, 0.5)
         _, tel, _ = run_sampler(SolverConfig(method, grid, seed=1), toy, m)
         assert tel.nfe == per_step * 6 * m
 
@@ -97,7 +109,7 @@ def test_nfe_accounting(toy):
 def test_rejection_fraction_decreases_with_steps(toy):
     fracs = []
     for n_steps in (8, 16, 32, 64, 128):
-        grid = make_time_grid(HORIZON, 0.0, n_steps, 0.5)
+        grid = TimeGrid(HORIZON, 0.0, n_steps, 0.5)
         _, tel, _ = run_sampler(SolverConfig("theta-trapezoidal", grid, seed=2), toy, 50_000)
         fracs.append(tel.rejection_fraction)
     assert all(a > b for a, b in zip(fracs, fracs[1:]))
@@ -110,21 +122,36 @@ def test_uniformity_preservation(toy):
     m = 200_000
     for method in ("euler", "tau-leaping", "theta-rk2", "theta-trapezoidal", "uniformization"):
         n_steps = 16 if method == "euler" else 8
-        grid = make_time_grid(HORIZON, 0.0, n_steps, 0.5)
+        grid = TimeGrid(HORIZON, 0.0, n_steps, 0.5)
         samples, _, _ = run_sampler(SolverConfig(method, grid, seed=3), uniform_model, m)
         freqs = empirical_distribution(samples, 15) / m
         assert np.abs(freqs - 1 / 15).max() < 5 * np.sqrt((1 / 15) * (14 / 15) / m)
 
 
+def test_jump_never_lands_on_a_zero_weight_slot(toy):
+    # Euler compares its uniform with probs.sum(axis=1), which can exceed the
+    # row's cumulative total; a uniform at that total, or past it, must
+    # still land on a slot with weight, never on the empty slot 0
+    rng = np.random.default_rng(0)
+    weights = rng.random((1000, 15))
+    weights[:, 0] = 0.0
+    row = weights[np.argmax(weights.sum(axis=1) > weights.cumsum(axis=1)[:, -1])]
+    assert row.sum() > row.cumsum()[-1]
+    for u in (row.cumsum()[-1], np.nextafter(row.sum(), 0.0)):
+        states = np.zeros(1, dtype=np.int64)
+        engine._jump(toy, states, np.array([0]), row[None, :], np.array([u]), StepTelemetry())
+        assert row[states[0]] > 0.0
+
+
 def test_euler_batch_step_size_error(toy):
-    grid = make_time_grid(HORIZON, 0.0, 2, 0.5)  # dt = 6: probabilities overflow
+    grid = TimeGrid(HORIZON, 0.0, 2, 0.5)  # dt = 6: probabilities overflow
     with pytest.raises(StepSizeError):
         run_sampler(SolverConfig("euler", grid, seed=4), toy, 1000)
 
 
 def test_exact_sampler_distribution(toy):
     # uniformization reproduces the target at the estimator's noise floor
-    grid = make_time_grid(HORIZON, 0.0, 32, 0.5)
+    grid = TimeGrid(HORIZON, 0.0, 32, 0.5)
     samples, tel, nfe = run_sampler(SolverConfig("uniformization", grid, seed=6), toy, 150_000)
     kl = kl_divergence(toy.p0.probs, empirical_distribution(samples, 15) / 150_000)
     assert kl < 5 * noise_floor(150_000, 15)

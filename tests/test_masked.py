@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from thetaleap.engine import run_sampler
+from thetaleap.engine import SolverConfig, StepTelemetry, TimeGrid, run_sampler
 from thetaleap.errors import ConfigError, DataError, SingularScoreError, UnreachableContextError
 from thetaleap.masked import (
     MAX_TABLE_CELLS,
@@ -13,7 +13,6 @@ from thetaleap.masked import (
     random_target_table,
 )
 from thetaleap.models import MaskedToyModel
-from thetaleap.solvers import SolverConfig, StepTelemetry, make_time_grid
 
 from kernel_oracle import brute_force_conditionals, masked_label, masked_tokens
 
@@ -125,7 +124,7 @@ def _masked_counts_at_grid_end(model, delta, m, seed):
         return fill(labels, rng, tel)
 
     model.finalize_batch = recording_fill
-    grid = make_time_grid(1.0, delta, 128, 0.5)
+    grid = TimeGrid(1.0, delta, 128, 0.5)
     _, tel, _ = run_sampler(SolverConfig("theta-trapezoidal", grid, seed), model, m)
     return np.concatenate(counts), tel
 
@@ -327,7 +326,7 @@ def test_masked_sampling_puts_no_sample_on_a_zero_cell(sched):
     # a time from its exact conditional, so the zero cells (0, 1) and (1, 0)
     # are never reached
     model = MaskedToyModel(TargetTable(np.array([[0.5, 0.0], [0.0, 0.5]])), sched)
-    grid = make_time_grid(1.0, 0.5, 16, 0.5)
+    grid = TimeGrid(1.0, 0.5, 16, 0.5)
     samples, tel, _ = run_sampler(SolverConfig("euler", grid, seed=3), model, 20_000)
     assert tel.final_fill_evals > 0
     counts = np.bincount(samples, minlength=4)

@@ -59,6 +59,18 @@ def test_kl_smoothing_mode_is_finite():
     assert abs(got - 0.14384103622589045) < 1e-15
 
 
+def test_kl_rejects_a_law_that_does_not_sum_to_one():
+    # a histogram where its frequencies belong, in either argument and in
+    # any row of a stack of laws
+    counts = empirical_distribution(np.array([0, 1, 2] * 10), 3)
+    uniform = np.full(3, 1 / 3)
+    for p, q in ((uniform, counts), (counts, uniform), (uniform, np.stack([uniform, counts]))):
+        with pytest.raises(DataError, match="not a law"):
+            kl_divergence(p, q)
+    assert kl_divergence(uniform, counts / 30) == 0.0
+    assert np.array_equal(kl_divergence(uniform, np.stack([uniform, [0.5, 0.5, 0.0]])), [0.0, math.inf])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
 def test_kl_nonnegative_gibbs(S, seed):

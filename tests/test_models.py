@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
 
-from thetaleap.engine import CHUNK_SIZE, ChunkPool, run_sampler, substream
+from thetaleap.engine import (
+    CHUNK_SIZE,
+    ChunkPool,
+    SolverConfig,
+    StepTelemetry,
+    TimeGrid,
+    run_sampler,
+    substream,
+)
 from thetaleap.errors import ConfigError
 from thetaleap.masked import NoiseSchedule, TargetTable, random_target_table
 from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
 from thetaleap.models import MaskedToyModel, ToyUniformModel, sample_simplex
-from thetaleap.solvers import SolverConfig, StepTelemetry, make_time_grid
 
 from kernel_oracle import brute_force_conditionals, masked_label, masked_tokens, toy_reverse_rates
 
@@ -146,6 +153,30 @@ def test_masked_finalize_fill_is_conditionally_exact():
     assert kl < 3 * noise_floor(m, 64)
 
 
+class _LargestUniform:
+    """A generator stand-in whose every uniform is the largest one below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
+def test_masked_fill_never_draws_a_zero_weight_token():
+    # this conditional's cumulative total rounds below the largest uniform,
+    # so a draw that reads past the total must not fall to the last token,
+    # which has no mass
+    table = TargetTable(np.array([0.07396306519631642, 0.4835753438551581, 0.4424615909485256, 0.0]))
+    model = MaskedToyModel(table)
+    assert model._conditionals(np.array([4]))[4].cumsum()[-1] < np.nextafter(1.0, 0.0)
+    filled = model.finalize_batch(model.sample_q0_batch(None, 3), _LargestUniform(), StepTelemetry())
+    assert model.encode(filled).tolist() == [2, 2, 2]
+
+
+@pytest.mark.parametrize("horizon", [-1.0, 0.0, 1.5, 5.0])
+def test_masked_rejects_a_horizon_outside_the_schedule_domain(horizon):
+    with pytest.raises(ConfigError, match="horizon"):
+        MaskedToyModel(random_target_table(2, 3, np.random.default_rng(6)), horizon=horizon)
+
+
 def test_masked_encode_rejects_mask():
     table = random_target_table(2, 3, np.random.default_rng(6))
     model = MaskedToyModel(table)
@@ -167,7 +198,7 @@ def test_masked_reverse_consistency_medium_scale():
     table = random_target_table(3, 4, substream(0, 102))
     model = MaskedToyModel(table, NoiseSchedule(1e-3))
     m = 60_000
-    grid = make_time_grid(1.0, 1e-3, 128, 0.5)
+    grid = TimeGrid(1.0, 1e-3, 128, 0.5)
     samples, _, _ = run_sampler(SolverConfig("theta-trapezoidal", grid, seed=8), model, m)
     kl = kl_divergence(table.flat(), empirical_distribution(samples, 64) / m)
     assert kl < 3 * noise_floor(m, 64)
@@ -176,7 +207,7 @@ def test_masked_reverse_consistency_medium_scale():
 def test_masked_determinism_across_workers():
     table = random_target_table(3, 4, substream(2, 102))
     model = MaskedToyModel(table)
-    grid = make_time_grid(1.0, 1e-3, 8, 0.5)
+    grid = TimeGrid(1.0, 1e-3, 8, 0.5)
     cfg = SolverConfig("theta-trapezoidal", grid, seed=11)
     m = CHUNK_SIZE + 500
     s1, _, _ = run_sampler(cfg, model, m)

@@ -9,8 +9,8 @@ import pytest
 from scipy import stats
 
 from thetaleap import engine
+from thetaleap.engine import SolverConfig, StepTelemetry, TimeGrid, alpha_coefficients
 from thetaleap.errors import BoundViolationError, ConfigError, NumericalError, StepSizeError
-from thetaleap.solvers import SolverConfig, StepTelemetry, alpha_coefficients, make_time_grid
 
 from kernel_oracle import two_state_marginal
 from tiny_models import (
@@ -26,7 +26,7 @@ from tiny_models import (
 
 def _sample(model, method, horizon, m, n_steps=1, theta=0.5, seed=0):
     """Run ``m`` trajectories of ``method`` over [0, horizon] in ``n_steps`` intervals."""
-    config = SolverConfig(method, make_time_grid(horizon, 0.0, n_steps, theta), seed)
+    config = SolverConfig(method, TimeGrid(horizon, 0.0, n_steps, theta), seed)
     return engine.run_sampler(config, model, m)
 
 
@@ -34,36 +34,39 @@ def _sample(model, method, horizon, m, n_steps=1, theta=0.5, seed=0):
 
 
 def test_make_time_grid_arithmetic_example():
-    g = make_time_grid(12.0, 0.0, 4, 0.5)
+    g = TimeGrid(12.0, 0.0, 4, 0.5)
     assert np.array_equal(g.points, [0.0, 3.0, 6.0, 9.0, 12.0])
     assert np.array_equal(g.rho, [1.5, 4.5, 7.5, 10.5])
     assert np.array_equal(g.deltas, [3.0, 3.0, 3.0, 3.0])
 
 
 def test_make_time_grid_theta_one_sections_at_right_endpoint():
-    g = make_time_grid(2.0, 0.0, 4, 1.0)
+    g = TimeGrid(2.0, 0.0, 4, 1.0)
     assert np.allclose(g.rho, g.points[1:])
 
 
 def test_make_time_grid_single_interval():
-    g = make_time_grid(1.0, 1e-3, 1, 0.5)
+    g = TimeGrid(1.0, 1e-3, 1, 0.5)
     assert g.n_intervals == 1
     assert np.allclose(g.points, [0.0, 1.0 - 1e-3])
 
 
 def test_make_time_grid_section_point_identity():
-    g = make_time_grid(7.3, 0.1, 9, 0.37)
+    g = TimeGrid(7.3, 0.1, 9, 0.37)
     assert np.abs((g.rho - g.points[:-1]) - 0.37 * g.deltas).max() < 1e-15
     assert np.all(g.rho > g.points[:-1]) and np.all(g.rho <= g.points[1:])
 
 
 def test_make_time_grid_rejects_bad_inputs():
     with pytest.raises(ConfigError):
-        make_time_grid(1.0, 1.0, 4, 0.5)  # delta == T
+        TimeGrid(1.0, 1.0, 4, 0.5)  # delta == T
     with pytest.raises(ConfigError):
-        make_time_grid(1.0, 0.0, 0, 0.5)
+        TimeGrid(1.0, 0.0, 0, 0.5)
     with pytest.raises(ConfigError):
-        make_time_grid(1.0, 0.0, 4, 0.0)
+        TimeGrid(1.0, -0.1, 4, 0.5)
+    for theta in (0.0, 1.5):
+        with pytest.raises(ConfigError):
+            TimeGrid(1.0, 0.0, 4, theta)
 
 
 # alpha coefficients
@@ -233,11 +236,11 @@ def test_bad_rate_at_the_poisson_draw_is_a_numerical_error(bad):
 
 
 def test_solver_config_validation_and_warning():
-    grid = make_time_grid(1.0, 0.0, 2, 0.8)
+    grid = TimeGrid(1.0, 0.0, 2, 0.8)
     with pytest.raises(ConfigError):
         SolverConfig("unknown-method", grid, seed=0)
     with pytest.raises(ConfigError):
-        SolverConfig("theta-trapezoidal", make_time_grid(1.0, 0.0, 2, 1.0), seed=0)
+        SolverConfig("theta-trapezoidal", TimeGrid(1.0, 0.0, 2, 1.0), seed=0)
     with pytest.warns(UserWarning) as warned:
         SolverConfig("theta-rk2", grid, seed=0)
     assert warned[0].filename == __file__  # attributed to the caller
@@ -287,7 +290,7 @@ def test_uniformization_candidate_times_are_sorted_uniforms():
     ids, times = ids[order], times[order]
     assert np.array_equal(np.bincount(ids, minlength=n), nfe) and tel.nfe == ids.size
     assert np.all(np.diff(times)[ids[1:] == ids[:-1]] > 0.0)
-    edges = make_time_grid(1.0, 0.0, windows, 0.5).points
+    edges = TimeGrid(1.0, 0.0, windows, 0.5).points
     for lo, hi in zip(edges[:-1], edges[1:]):
         inside = times[(times > lo) & (times <= hi)]
         assert stats.kstest(inside, "uniform", args=(lo, hi - lo)).pvalue > 1e-3
@@ -315,7 +318,7 @@ def test_uniformization_candidates_follow_the_piecewise_envelope():
     ids = np.concatenate([c[0] for c in model.calls])
     times = np.concatenate([c[1] for c in model.calls])
     assert np.array_equal(np.bincount(ids, minlength=n), nfe) and tel.nfe == ids.size
-    edges = make_time_grid(1.0, 0.0, windows, 0.5).points
+    edges = TimeGrid(1.0, 0.0, windows, 0.5).points
     for lo, hi, piece_edges, cum in _ramp_envelope(a, edges):
         inside = times[(times > lo) & (times <= hi)]
         envelope_cdf = np.interp(inside, piece_edges, cum / cum[-1])
@@ -325,7 +328,7 @@ def test_uniformization_candidates_follow_the_piecewise_envelope():
 def test_uniformization_ramp_nfe_is_the_envelope_mass_and_the_law_is_exact():
     a, windows, n = 4.0, 4, 20_000
     samples, _, nfe = _sample(RampRates(a), "uniformization", 1.0, n, n_steps=windows, seed=20)
-    edges = make_time_grid(1.0, 0.0, windows, 0.5).points
+    edges = TimeGrid(1.0, 0.0, windows, 0.5).points
     envelope = sum(cum[-1] for *_, cum in _ramp_envelope(a, edges))
     window_max = float(np.sum(a * edges[1:] * np.diff(edges)))
     se = np.sqrt(envelope / n)  # the NFE is Poisson(envelope mass)
