@@ -100,8 +100,6 @@ class ExperimentConfig:
             raise ConfigError(f"method and theta lists must be nonempty, got {self.method} and {self.theta}")
         if self.samples < 1:
             raise ConfigError(f"need at least one sample, got {self.samples}")
-        if any(not (0.0 < th <= 1.0) for th in self.theta):
-            raise ConfigError(f"theta values must lie in (0, 1], got {self.theta}")
         if not (0.0 < self.ci_level < 1.0):
             raise ConfigError(f"ci level must lie in (0, 1), got {self.ci_level}")
         if self.workers < 1:

@@ -29,7 +29,9 @@ Batch models implement:
     means "set coordinate c to target v"
   - ``sample_q0_batch(rng, m)``: initial states, one int64 label per trajectory
   - ``rates_batch(s, states)``: (m, n_coords * slots_per_coord) intensities;
-    ``s`` may be a scalar or a per-row vector
+    ``s`` may be a scalar or a per-row vector.  It returns a new array, which
+    the engine owns and overwrites (the stepping methods scale it in place
+    into Poisson means), so it must not be a view of the model's own tables
   - ``apply(states, rows, coords, vals)``: in-place jump application
   - ``encode(states)``: each trajectory's index into the target's states
   - optionally ``total_bound(s_lo, s_hi)`` (uniformization): a bound on
@@ -191,16 +193,17 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *key))))
 
 
-def _leap_batch(model, states, rates, dt, rng, tel: StepTelemetry):
-    """Vectorized tau-leap over one sub-interval; returns updated copies.
+def _leap_batch(model, states, lam, rng, tel: StepTelemetry):
+    """Vectorized tau-leap over one sub-interval, given its Poisson means; returns updated copies.
 
-    Rates are frozen over the sub-interval: independent Poisson counts per
-    slot, whole-update rejection when any coordinate draws more than one
-    jump, otherwise every coordinate with a single drawn jump moves.
+    ``lam`` is rates x sub-interval length, frozen over the sub-interval:
+    independent Poisson counts per slot, whole-update rejection when any
+    coordinate draws more than one jump, otherwise every coordinate with a
+    single drawn jump moves.
     """
     m = states.shape[0]
     try:
-        counts = rng.poisson(rates * dt)
+        counts = rng.poisson(lam)
     except ValueError as exc:  # lam < 0, NaN or too large
         raise NumericalError(
             f"negative or NaN rate reached the Poisson draw; clamping failed upstream ({exc})"
@@ -240,9 +243,8 @@ def _jump(model, states, rows, weights, u, tel: StepTelemetry) -> None:
     tel.drawn_jumps += rows.size
 
 
-def _euler_batch(model, states, rates, dt, rng, tel: StepTelemetry):
+def _euler_batch(model, states, probs, rng, tel: StepTelemetry):
     m = states.shape[0]
-    probs = rates * dt
     totals = probs.sum(axis=1)
     worst = totals.max() if m else 0.0
     if worst >= 1.0:
@@ -259,51 +261,55 @@ def _euler_batch(model, states, rates, dt, rng, tel: StepTelemetry):
 
 
 def _combine_stage2(method, mu0, mustar, theta, tel: StepTelemetry):
-    """Weighted stage-2 intensity array, clamped at zero, with positivity counts."""
+    """Weighted stage-2 intensity, clamped at zero, with positivity counts.
+
+    Overwrites both inputs and returns ``mustar``'s buffer.  Rates are
+    nonnegative, so a negative combination always sits on a considered slot.
+    """
     if method == "theta-rk2":
         considered = mu0 > 0.0
-        combo = (1.0 - 0.5 / theta) * mu0
-        combo += (0.5 / theta) * mustar
-        combo[~considered] = 0.0
+        mustar *= 0.5 / theta
+        mu0 *= 1.0 - 0.5 / theta
+        mustar += mu0
+        mustar[~considered] = 0.0
     else:
         a1, a2 = alpha_coefficients(theta)
         considered = mu0 > 0.0
         considered |= mustar > 0.0
-        combo = a1 * mustar
-        combo -= a2 * mu0
-    neg = combo < 0.0
-    neg &= considered
+        mustar *= a1
+        mu0 *= a2
+        mustar -= mu0
     tel.total_intensity_terms += np.count_nonzero(considered)
-    tel.negative_intensity_events += np.count_nonzero(neg)
-    return np.maximum(combo, 0.0, out=combo)
+    tel.negative_intensity_events += np.count_nonzero(mustar < 0.0)
+    return np.maximum(mustar, 0.0, out=mustar)
 
 
-def _step_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: StepTelemetry):
+def _step_interval(config: SolverConfig, model, states, chunk_idx: int, n: int, tel: StepTelemetry):
+    """Interval ``n`` of a stepping method.  Each rates array is scaled in place
+    into its Poisson means (or Euler probabilities), and all of them are freed
+    when this returns."""
     grid = config.grid
     theta = grid.theta
     method = config.method
+    dt = grid.deltas[n]
     m = states.shape[0]
-    for n in range(grid.n_intervals):
-        s_n = grid.points[n]
-        dt = grid.deltas[n]
-        rng1 = substream(config.seed, TAG_STEP, chunk_idx, n, 0)
-        mu0 = model.rates_batch(s_n, states)
-        tel.nfe += m
-        if method == "tau-leaping":
-            states = _leap_batch(model, states, mu0, dt, rng1, tel)
-        elif method == "euler":
-            states = _euler_batch(model, states, mu0, dt, rng1, tel)
-        else:
-            rng2 = substream(config.seed, TAG_STEP, chunk_idx, n, 1)
-            ystar = _leap_batch(model, states, mu0, theta * dt, rng1, tel)
-            mustar = model.rates_batch(grid.rho[n], ystar)
-            tel.nfe += m
-            combo = _combine_stage2(method, mu0, mustar, theta, tel)
-            if method == "theta-rk2":
-                states = _leap_batch(model, states, combo, dt, rng2, tel)
-            else:
-                states = _leap_batch(model, ystar, combo, (1.0 - theta) * dt, rng2, tel)
-    return states
+    rng1 = substream(config.seed, TAG_STEP, chunk_idx, n, 0)
+    mu0 = model.rates_batch(grid.points[n], states)
+    tel.nfe += m
+    if method == "tau-leaping":
+        return _leap_batch(model, states, np.multiply(mu0, dt, out=mu0), rng1, tel)
+    if method == "euler":
+        return _euler_batch(model, states, np.multiply(mu0, dt, out=mu0), rng1, tel)
+    rng2 = substream(config.seed, TAG_STEP, chunk_idx, n, 1)
+    # the one new array: the combine still needs mu0
+    ystar = _leap_batch(model, states, mu0 * (theta * dt), rng1, tel)
+    mustar = model.rates_batch(grid.rho[n], ystar)
+    tel.nfe += m
+    lam = _combine_stage2(method, mu0, mustar, theta, tel)
+    del mu0  # spent by the combine; freeing it lowers the second leap's peak
+    if method == "theta-rk2":
+        return _leap_batch(model, states, np.multiply(lam, dt, out=lam), rng2, tel)
+    return _leap_batch(model, ystar, np.multiply(lam, (1.0 - theta) * dt, out=lam), rng2, tel)
 
 
 def _envelope(model, points: np.ndarray):
@@ -372,7 +378,8 @@ def _run_chunk(config: SolverConfig, model, chunk_idx: int, m: int):
         if config.method == "uniformization":
             states, nfe_per = _uniformize_chunk(config, model, states, chunk_idx, tel)
         else:
-            states = _step_chunk(config, model, states, chunk_idx, tel)
+            for n in range(config.grid.n_intervals):
+                states = _step_interval(config, model, states, chunk_idx, n, tel)
         if hasattr(model, "finalize_batch"):
             states = model.finalize_batch(states, substream(config.seed, TAG_FILL, chunk_idx), tel)
         samples = model.encode(states)

@@ -94,7 +94,6 @@ def test_build_config_flag_and_file_precedence(tmp_path):
 def test_build_config_rejects_bad_values(tmp_path, monkeypatch):
     bad = [
         {"steps": "8,4"},
-        {"theta": "1.5"},
         {"samples": "0"},
         {"theta": "abc"},
         {"steps": "4,x"},
@@ -247,6 +246,8 @@ def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
             ["toy-converge", "--method", "tau-leaping,theta-trapezoidal", "--theta", "0.5,1"],
             id="tau-leaping,theta-trapezoidal-0.5,1",
         ),
+        # TimeGrid rejects theta outside (0, 1] when the sweep builds its cells
+        pytest.param(["toy-converge", "--theta", "1.5"], id="theta-1.5"),
         # the masked schedule is defined on (0, 1] only
         pytest.param(["masked-converge", "--horizon", "2"], id="masked-horizon-2"),
     ],
