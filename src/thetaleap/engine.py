@@ -58,6 +58,7 @@ reproducibility contract, like ``CHUNK_SIZE``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -74,6 +75,9 @@ BOUND_RTOL = 1e-9
 CHUNK_SIZE = 16384
 ENVELOPE_PIECES = 16
 
+# Largest step count a grid accepts; its float64 points then take 80 MB.
+MAX_INTERVALS = 10**7
+
 # Stream-purpose tags; part of the reproducibility contract.
 TAG_INIT = 1
 TAG_STEP = 2
@@ -86,7 +90,8 @@ class TimeGrid:
     """Uniform reverse-time grid 0 = s_0 < ... < s_N = horizon - delta, N = n_intervals.
 
     ``rho[n] = s_n + theta (s_{n+1} - s_n)`` are the section points at which
-    the two-stage methods evaluate the intermediate intensity.
+    the two-stage methods evaluate the intermediate intensity.  The horizon
+    must be finite and N at most ``MAX_INTERVALS``.
     """
 
     horizon: float
@@ -95,10 +100,10 @@ class TimeGrid:
     theta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.delta < self.horizon):
-            raise ConfigError(f"need 0 <= delta < T, got delta={self.delta}, T={self.horizon}")
-        if self.n_intervals < 1:
-            raise ConfigError(f"need at least one step, got N={self.n_intervals}")
+        if not (0.0 <= self.delta < self.horizon < math.inf):
+            raise ConfigError(f"need 0 <= delta < T < inf, got delta={self.delta}, T={self.horizon}")
+        if not (1 <= self.n_intervals <= MAX_INTERVALS):
+            raise ConfigError(f"need 1 <= N <= {MAX_INTERVALS} steps, got N={self.n_intervals}")
         if not (0.0 < self.theta <= 1.0):
             raise ConfigError(f"theta must lie in (0, 1], got {self.theta}")
         points = np.linspace(0.0, self.horizon - self.delta, self.n_intervals + 1)
@@ -199,7 +204,11 @@ def _leap_batch(model, states, lam, rng, tel: StepTelemetry):
     ``lam`` is rates x sub-interval length, frozen over the sub-interval:
     independent Poisson counts per slot, whole-update rejection when any
     coordinate draws more than one jump, otherwise every coordinate with a
-    single drawn jump moves.
+    single drawn jump moves.  The bookkeeping reads only the per-coordinate
+    totals (rows x n_coords): the rows holding a total above one are
+    counted as rejected and cleared from the mask of totals equal to one,
+    and the movers are that mask's flat indices, split into (row, coord) in
+    row-major order.
     """
     m = states.shape[0]
     try:
@@ -208,15 +217,26 @@ def _leap_batch(model, states, lam, rng, tel: StepTelemetry):
         raise NumericalError(
             f"negative or NaN rate reached the Poisson draw; clamping failed upstream ({exc})"
         ) from exc
+    # spent: stage 1's means are a temporary that only this frame holds, and
+    # freeing them before the bookkeeping lowers the two-stage step's peak
+    del lam
     c3 = counts.reshape(m, model.n_coords, model.slots_per_coord)
     per_coord = np.einsum("mcs->mc", c3)
-    reject = (per_coord > 1).any(axis=1)
     tel.attempted_updates += m
-    tel.rejected_steps += int(reject.sum())
-    tel.drawn_jumps += int(counts.sum())
+    tel.drawn_jumps += int(per_coord.sum())
+    single = per_coord == 1
+    bad = np.flatnonzero(per_coord > 1)
+    if bad.size:
+        bad //= model.n_coords
+        single[bad] = False
+        # bad is sorted, so each rejected row starts one run of equal entries
+        tel.rejected_steps += int(np.count_nonzero(bad[1:] != bad[:-1])) + 1
+    # freed before the movers' counts are gathered, which is the step's peak;
+    # the row indices overwrite the flat ones for the same reason
+    del bad
     states = states.copy()
-    apply_mask = (~reject)[:, None] & (per_coord == 1)
-    rows, coords = np.nonzero(apply_mask)
+    movers = np.flatnonzero(single)
+    rows, coords = np.divmod(movers, model.n_coords, out=(movers, None))
     if rows.size:
         vals = np.argmax(c3[rows, coords, :], axis=1)
         model.apply(states, rows, coords, vals)
@@ -291,7 +311,8 @@ def _step_interval(config: SolverConfig, model, states, chunk_idx: int, n: int, 
     grid = config.grid
     theta = grid.theta
     method = config.method
-    dt = grid.deltas[n]
+    # one interval's entries of grid.deltas and grid.rho, without building either array
+    dt = grid.points[n + 1] - grid.points[n]
     m = states.shape[0]
     rng1 = substream(config.seed, TAG_STEP, chunk_idx, n, 0)
     mu0 = model.rates_batch(grid.points[n], states)
@@ -303,7 +324,7 @@ def _step_interval(config: SolverConfig, model, states, chunk_idx: int, n: int, 
     rng2 = substream(config.seed, TAG_STEP, chunk_idx, n, 1)
     # the one new array: the combine still needs mu0
     ystar = _leap_batch(model, states, mu0 * (theta * dt), rng1, tel)
-    mustar = model.rates_batch(grid.rho[n], ystar)
+    mustar = model.rates_batch(grid.points[n] + theta * dt, ystar)
     tel.nfe += m
     lam = _combine_stage2(method, mu0, mustar, theta, tel)
     del mu0  # spent by the combine; freeing it lowers the second leap's peak

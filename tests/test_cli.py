@@ -250,13 +250,21 @@ def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
         pytest.param(["toy-converge", "--theta", "1.5"], id="theta-1.5"),
         # the masked schedule is defined on (0, 1] only
         pytest.param(["masked-converge", "--horizon", "2"], id="masked-horizon-2"),
+        pytest.param(["toy-converge", "--steps", "4,8", "--horizon", "inf"], id="horizon-inf"),
+        # step counts above TimeGrid's cap: np.linspace cannot size the first,
+        # and N + 1 wraps around int64 for the second
+        pytest.param(["toy-converge", "--steps", "100000000000000000000"], id="steps-1e20"),
+        pytest.param(["toy-converge", "--steps", "9223372036854775807"], id="steps-int64-max"),
     ],
 )
 def test_cli_rejects_a_bad_sweep_cell_before_sampling(tmp_path, monkeypatch, argv):
     calls = []
     monkeypatch.setattr(cli, "run_sampler", lambda *a, **k: calls.append(a))
+    command, flags = argv[0], argv[1:]
+    # the case's own flags come last, so they win over these defaults
     code = main(
-        argv + ["--samples", "1000", "--steps", "4", "--bootstrap", "10", "--out", str(tmp_path / "x.csv")]
+        [command, "--samples", "1000", "--steps", "4", "--bootstrap", "10", "--out", str(tmp_path / "x.csv")]
+        + flags
     )
     assert code == 2
     assert calls == []

@@ -24,6 +24,7 @@ from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
 from thetaleap.models import MaskedToyModel, ToyUniformModel, sample_simplex
 
 from kernel_oracle import exact_masked_distribution, exact_scheme_distribution
+from tiny_models import ConstantRates
 
 HORIZON = 12.0
 
@@ -202,12 +203,12 @@ def test_in_place_combine_matches_the_out_of_place_formula(method, theta):
 @pytest.mark.parametrize("kind", ["toy", "masked"])
 def test_chunk_working_set_in_full_width_arrays(toy, kind, method):
     # tracemalloc peak of one full chunk at N = 8, in arrays of rows x slots
-    # float64.  An interval's rates are scaled in place and freed with it:
-    # a two-stage step peaks at mu, its stage-1 means, the counts and the
-    # moving rows' counts (about 3.6 arrays), tau-leaping at mu and the
-    # counts (about 2.6).  Measured with NumPy 2.4.6 on CPython 3.11: toy
-    # 3.65 for both two-stage schemes, 2.64 for tau-leaping; masked 3.60
-    # (theta-rk2), 3.56 (theta-trapezoidal), 2.65 (tau-leaping).  Part of
+    # float64.  An interval's rates are scaled in place and freed with it,
+    # and the leap frees stage 1's means once drawn: a two-stage step peaks
+    # at about 3.1 arrays, tau-leaping at mu, the counts and the moving
+    # rows' counts (about 2.6).  Measured with NumPy 2.4.6 on CPython 3.11:
+    # toy 3.07 for both two-stage schemes, 2.63 for tau-leaping; masked 3.09
+    # for both two-stage schemes, 2.64 for tau-leaping.  Part of
     # each peak is NumPy's own temporaries (einsum, fancy indexing, argmax),
     # so a failure after a NumPy upgrade with no engine change points there
     if kind == "toy":
@@ -225,3 +226,85 @@ def test_chunk_working_set_in_full_width_arrays(toy, kind, method):
         tracemalloc.stop()
     width = CHUNK_SIZE * model.n_coords * model.slots_per_coord * 8
     assert peak <= (3 if method == "tau-leaping" else 4) * width
+
+
+class _FixedCounts:
+    """A generator whose Poisson draw returns the given counts."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def poisson(self, lam):
+        assert lam.shape == self.counts.shape
+        return self.counts.copy()
+
+
+def _leap_by_mask(model, states, counts, tel):
+    """The leap's bookkeeping written with a rejected-row mask and a 2-D nonzero."""
+    m = states.shape[0]
+    c3 = counts.reshape(m, model.n_coords, model.slots_per_coord)
+    per_coord = np.einsum("mcs->mc", c3)
+    reject = (per_coord > 1).any(axis=1)
+    tel.attempted_updates += m
+    tel.rejected_steps += int(reject.sum())
+    tel.drawn_jumps += int(counts.sum())
+    states = states.copy()
+    rows, coords = np.nonzero((~reject)[:, None] & (per_coord == 1))
+    if rows.size:
+        vals = np.argmax(c3[rows, coords, :], axis=1)
+        model.apply(states, rows, coords, vals)
+    return states
+
+
+def _bookkeeping_counts(n_coords, slots, rng):
+    """Leap counts, shape (rows, n_coords, slots): an all-zero row, sparse and
+    dense rows, a coordinate at 2 beside one at 1 (row 1) and a single jump on
+    every coordinate (row 2)."""
+    stay = np.zeros((n_coords, slots), dtype=np.int64)
+    stay[0, -1] = 2
+    stay[-1, 0] += 1  # on the toy's one coordinate this makes a total of 3
+    several = np.zeros((n_coords, slots), dtype=np.int64)
+    several[np.arange(n_coords), np.arange(1, n_coords + 1) % slots] = 1
+    return np.concatenate(
+        [
+            np.zeros((1, n_coords, slots), dtype=np.int64),
+            stay[None],
+            several[None],
+            rng.poisson(0.02, size=(300, n_coords, slots)),
+            rng.poisson(1.0 / slots, size=(300, n_coords, slots)),
+            rng.poisson(1.0, size=(300, n_coords, slots)),
+        ]
+    )
+
+
+@pytest.mark.parametrize("kind", ["toy", "masked", "tiny"])
+def test_leap_bookkeeping_matches_the_mask_formula(toy, kind):
+    # the engine finds movers and rejected rows from flat indices of the
+    # per-coordinate totals; it must move the same rows to the same slots and
+    # count the same as the mask formula, with and without rejected rows
+    rng = np.random.default_rng(17)
+    # each model with the values a state takes: a label, or a row of values
+    if kind == "toy":
+        model, n_values, shape = toy, 15, ()
+    elif kind == "masked":
+        model, n_values, shape = MaskedToyModel(random_target_table(3, 4, substream(0, 7))), 5**3, ()
+    else:
+        model, n_values, shape = ConstantRates(np.ones((5, 3))), 3, (5,)
+    counts = _bookkeeping_counts(model.n_coords, model.slots_per_coord, rng)
+    m = counts.shape[0]
+    states = rng.integers(0, n_values, size=(m, *shape))
+    no_reject = counts.copy()
+    no_reject[counts.sum(axis=2) > 1] = 0
+    results = []
+    for leap_counts in (counts, no_reject):
+        flat = leap_counts.reshape(m, -1)
+        want_tel, got_tel = StepTelemetry(), StepTelemetry()
+        want = _leap_by_mask(model, states, flat, want_tel)
+        got = engine._leap_batch(model, states, np.ones(flat.shape), _FixedCounts(flat), got_tel)
+        assert got.tobytes() == want.tobytes()
+        assert got_tel == want_tel
+        results.append((got, got_tel))
+    (got, tel), (_, tel_no_reject) = results
+    assert np.array_equal(got[:2], states[:2])  # the all-zero row, and row 1 is rejected
+    assert not np.array_equal(got[2], states[2])  # every coordinate of row 2 moved once
+    assert tel.rejected_steps > 0 and tel_no_reject.rejected_steps == 0

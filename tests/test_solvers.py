@@ -38,6 +38,7 @@ def test_make_time_grid_arithmetic_example():
     assert np.array_equal(g.points, [0.0, 3.0, 6.0, 9.0, 12.0])
     assert np.array_equal(g.rho, [1.5, 4.5, 7.5, 10.5])
     assert np.array_equal(g.deltas, [3.0, 3.0, 3.0, 3.0])
+    assert not g.points.flags.writeable
 
 
 def test_make_time_grid_theta_one_sections_at_right_endpoint():
@@ -64,6 +65,11 @@ def test_make_time_grid_rejects_bad_inputs():
         TimeGrid(1.0, 0.0, 0, 0.5)
     with pytest.raises(ConfigError):
         TimeGrid(1.0, -0.1, 4, 0.5)
+    with pytest.raises(ConfigError):
+        TimeGrid(float("inf"), 0.0, 4, 0.5)
+    # above the cap the grid is refused before any array is built
+    with pytest.raises(ConfigError, match=f"N={engine.MAX_INTERVALS + 1}"):
+        TimeGrid(1.0, 0.0, engine.MAX_INTERVALS + 1, 0.5)
     for theta in (0.0, 1.5):
         with pytest.raises(ConfigError):
             TimeGrid(1.0, 0.0, 4, theta)
