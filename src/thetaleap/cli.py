@@ -41,6 +41,10 @@ WORKERS_ENV = "THETALEAP_WORKERS"
 TOY_STATES = 15
 MASKED_DIMS = 3
 MASKED_VOCAB = 4
+# Largest sizes a study accepts: 10^8 samples hold 0.8 GB of int64 states,
+# and 10^5 resamples of the masked table's 64 cells take 51 MB per copy.
+MAX_SAMPLES = 10**8
+MAX_BOOTSTRAP = 10**5
 
 # stream-purpose tags local to the CLI (solver tags live in engine)
 TAG_BOOT = 101
@@ -98,14 +102,14 @@ class ExperimentConfig:
             raise ConfigError("steps list must be nonempty and strictly increasing")
         if not self.method or not self.theta:
             raise ConfigError(f"method and theta lists must be nonempty, got {self.method} and {self.theta}")
-        if self.samples < 1:
-            raise ConfigError(f"need at least one sample, got {self.samples}")
+        if not (1 <= self.samples <= MAX_SAMPLES):
+            raise ConfigError(f"need 1 <= samples <= {MAX_SAMPLES}, got {self.samples}")
         if not (0.0 < self.ci_level < 1.0):
             raise ConfigError(f"ci level must lie in (0, 1), got {self.ci_level}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.bootstrap < 2:
-            raise ConfigError(f"bootstrap needs at least 2 resamples, got {self.bootstrap}")
+        if not (2 <= self.bootstrap <= MAX_BOOTSTRAP):
+            raise ConfigError(f"need 2 <= bootstrap <= {MAX_BOOTSTRAP} resamples, got {self.bootstrap}")
         # SeedSequence rejects negative entropy
         if self.seed < 0 or (self.p0_seed is not None and self.p0_seed < 0):
             raise ConfigError(f"seeds must be >= 0, got seed={self.seed}, p0_seed={self.p0_seed}")
@@ -202,7 +206,11 @@ def parse_results(path) -> list:
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return [ResultRow(**obj) for obj in json.loads(text)["rows"]]
+        try:
+            return [ResultRow(**obj) for obj in json.loads(text)["rows"]]
+        # JSONDecodeError is a ValueError; a missing, extra or non-object row is a TypeError
+        except (ValueError, TypeError, KeyError) as exc:
+            raise DataError(f"malformed JSON results: {exc}") from None
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise DataError("empty results file or unrecognized results header")
@@ -211,7 +219,10 @@ def parse_results(path) -> list:
         cells = ln.split(",")
         if len(cells) != len(_ROW_KINDS):
             raise DataError(f"expected {len(_ROW_KINDS)} columns, got {ln!r}")
-        rows.append(ResultRow(*(kind(c) for kind, c in zip(_ROW_KINDS.values(), cells))))
+        try:
+            rows.append(ResultRow(*(kind(c) for kind, c in zip(_ROW_KINDS.values(), cells))))
+        except ValueError as exc:
+            raise DataError(f"malformed results row {ln!r}: {exc}") from None
     return rows
 
 

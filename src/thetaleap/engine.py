@@ -11,10 +11,14 @@ kernels in ``tests/kernel_oracle.py`` are the reference this engine is
 checked against.
 
 Trajectories are processed in fixed-size chunks.  Every random draw comes
-from a Philox stream keyed by (seed, purpose, chunk, interval, stage), so
-the output is a pure function of the seed and the sample count: worker
+from a stream keyed by (seed, purpose, chunk, interval, stage), so the
+output is a pure function of the seed and the sample count: worker
 processes only change wall time, never bytes.  ``CHUNK_SIZE`` is part of
 that reproducibility contract; changing it changes the streams.
+:func:`substream` builds the engine's own sampling streams (``TAG_INIT``,
+``TAG_STEP``, ``TAG_UNIF``, ``TAG_FILL``) on PCG64DXSM, whose Poisson and
+uniform draws are cheaper, and every other purpose on Philox, so the CLI's
+random targets do not depend on the sampler's bit generator.
 
 :func:`run_sampler` runs the chunks in this process, or on a
 :class:`ChunkPool` that a sweep opens for its model and keeps for all of its
@@ -83,6 +87,7 @@ TAG_INIT = 1
 TAG_STEP = 2
 TAG_UNIF = 3
 TAG_FILL = 4
+_SAMPLING_TAGS = frozenset((TAG_INIT, TAG_STEP, TAG_UNIF, TAG_FILL))
 
 
 @dataclass(frozen=True)
@@ -194,8 +199,16 @@ class SolverConfig:
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one (purpose, chunk, interval, stage) slot."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *key))))
+    """Independent generator for one (purpose, chunk, interval, stage) slot.
+
+    The engine's own purposes (``TAG_INIT``, ``TAG_STEP``, ``TAG_UNIF``,
+    ``TAG_FILL``) get a PCG64DXSM stream, because sampling spends most of its
+    time in their Poisson and uniform draws.  Every other key (the CLI's
+    target and bootstrap draws, test fixtures) gets a Philox stream, so a
+    seeded target does not depend on the sampler's bit generator.
+    """
+    bits = np.random.PCG64DXSM if key and key[0] in _SAMPLING_TAGS else np.random.Philox
+    return np.random.Generator(bits(np.random.SeedSequence((seed, *key))))
 
 
 def _leap_batch(model, states, lam, rng, tel: StepTelemetry):

@@ -24,8 +24,10 @@ from thetaleap.cli import (
     main,
     parse_results,
 )
-from thetaleap.engine import CHUNK_SIZE, SolverConfig
+from thetaleap.engine import CHUNK_SIZE, SolverConfig, substream
 from thetaleap.errors import ConfigError, DataError
+from thetaleap.masked import random_target_table
+from thetaleap.models import sample_simplex
 
 
 def _rows():
@@ -51,6 +53,11 @@ def test_emit_parse_roundtrip_json(tmp_path):
     assert parse_results(path) == rows
     payload = json.loads(path.read_text())
     assert list(payload["rows"][0].keys())[0] == "method"
+    # a row missing fields, truncated JSON and a row with an unknown field
+    for text in ('{"rows": [{"method": "euler"}]}', path.read_text()[:40], '{"rows": [{"bogus": 1}]}'):
+        path.write_text(text)
+        with pytest.raises(DataError):
+            parse_results(path)
 
 
 def test_emit_empty_table_is_header_only(tmp_path):
@@ -59,6 +66,9 @@ def test_emit_empty_table_is_header_only(tmp_path):
     assert path.read_text() == CSV_HEADER + "\n"
     assert parse_results(path) == []
     path.write_text("")
+    with pytest.raises(DataError):
+        parse_results(path)
+    path.write_text(CSV_HEADER + "\neuler,abc" + ",0" * 9 + "\n")
     with pytest.raises(DataError):
         parse_results(path)
 
@@ -227,6 +237,11 @@ def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
         ["--config", str(conf)],
         ["--config", str(latin1)],
         ["--target-file", str(latin1)],
+        # sizes whose arrays would not fit in memory
+        ["--samples", str(cli.MAX_SAMPLES + 1)],
+        ["--samples", "10000000000000"],
+        ["--bootstrap", str(cli.MAX_BOOTSTRAP + 1)],
+        ["--bootstrap", "100000000"],
     ):
         assert main(["toy-converge"] + argv) == 2
     monkeypatch.setenv("THETALEAP_WORKERS", "abc")
@@ -503,21 +518,21 @@ PINNED_OUTPUTS = {
     "toy": (
         ["toy-converge", "--samples", "2000", "--steps", "64,128",
          "--method", "euler,tau-leaping,theta-rk2,theta-trapezoidal", "--bootstrap", "50"],
-        "f680623416ce64199b93c19491044ab4d2a363e05cbddb4665a690b955de597c",
+        "e8210f5dcece401110226096f396fc77560849b7b0f49bc8d6a0693155143c41",
     ),
     "masked": (
         ["masked-converge", "--samples", "20000", "--steps", "4,8", "--delta", "0.5",
          "--method", "euler,tau-leaping,theta-trapezoidal", "--bootstrap", "50"],
-        "4faa4249e782fcdc4e21ed8534d8a2a0d152a1582dbc84b7099aac04be88d0d0",
+        "de8707130d471408583c5547477af30451957e67d1946aea02d42d5617c3daae",
     ),
     "exact-check": (
         ["exact-check", "--samples", "2000", "--steps", "4", "--bootstrap", "50"],
-        "5e1771fbd5b2f522473493594ac0d888913321422ea39daafadb7aed8613a1d4",
+        "045d3d4165b8ac59d0315ecedbcca21b899c3e6d68ec09d0bd4a234489beddc5",
     ),
     "two-chunk": (
         ["toy-converge", "--samples", str(CHUNK_SIZE + 100), "--steps", "2",
          "--method", "theta-trapezoidal", "--bootstrap", "50"],
-        "5eb00223292c4218abb50dc0e164566f9f5f5c07048a0197b0183d2ce0ec1dec",
+        "82be4584b815b00773da2f48f38b99b8723f2fd252393cb1d41b8084de59d62c",
     ),
 }
 
@@ -531,3 +546,25 @@ def test_cli_output_bytes_are_pinned(tmp_path, name):
     cells = [line.split(",") for line in out.read_text().splitlines()]
     text = "".join(",".join(c[:wall] + c[wall + 1 :]) + "\n" for c in cells)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The random targets the defaults and studybench use, pinned by the sha256 of
+# their float64 bytes: the toy at p0-seeds 0 and 4, the masked table at 2.
+# They stay put when the sampler's streams move, so a --p0-seed always names
+# the same problem.
+PINNED_TARGETS = {
+    ("toy", 0): "db4629a851163380dc9ce94dc81ed45a83992d4e8c9fcd00a043997c60fe5300",
+    ("toy", 4): "07a45c99e0ef4ea7ee4d175b09c63ae616d6fe5af4bab156a912c4c77c290f6c",
+    ("masked", 2): "0d598af47d7a3a4718bf597dc1bd82249fac74f548401131a6569559149bb2b4",
+}
+
+
+@pytest.mark.parametrize("kind,p0_seed", list(PINNED_TARGETS))
+def test_random_targets_are_pinned(kind, p0_seed):
+    rng = substream(p0_seed, cli.TAG_TARGET)
+    if kind == "toy":
+        table = sample_simplex(cli.TOY_STATES, rng)
+    else:
+        table = random_target_table(cli.MASKED_DIMS, cli.MASKED_VOCAB, rng)
+    digest = hashlib.sha256(table.flat().tobytes()).hexdigest()
+    assert digest == PINNED_TARGETS[kind, p0_seed]

@@ -205,8 +205,9 @@ def test_chunk_working_set_in_full_width_arrays(toy, kind, method):
     # tracemalloc peak of one full chunk at N = 8, in arrays of rows x slots
     # float64.  An interval's rates are scaled in place and freed with it,
     # and the leap frees stage 1's means once drawn: a two-stage step peaks
-    # at about 3.1 arrays, tau-leaping at mu, the counts and the moving
-    # rows' counts (about 2.6).  Measured with NumPy 2.4.6 on CPython 3.11:
+    # at about 3.1 arrays (3.6 without that free, above the 3.5 bound),
+    # tau-leaping at mu, the counts and the moving rows' counts (about 2.6).
+    # Measured with NumPy 2.4.6 on CPython 3.11:
     # toy 3.07 for both two-stage schemes, 2.63 for tau-leaping; masked 3.09
     # for both two-stage schemes, 2.64 for tau-leaping.  Part of
     # each peak is NumPy's own temporaries (einsum, fancy indexing, argmax),
@@ -225,7 +226,7 @@ def test_chunk_working_set_in_full_width_arrays(toy, kind, method):
     finally:
         tracemalloc.stop()
     width = CHUNK_SIZE * model.n_coords * model.slots_per_coord * 8
-    assert peak <= (3 if method == "tau-leaping" else 4) * width
+    assert peak <= (3 if method == "tau-leaping" else 3.5) * width
 
 
 class _FixedCounts:
