@@ -21,20 +21,13 @@ import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import get_type_hints
 
 import numpy as np
 
 from .engine import ChunkPool, SolverConfig, TimeGrid, run_sampler, substream
 from .errors import ConfigError, DataError, NumericalError, ThetaLeapError
-from .masked import NoiseSchedule, TargetTable, load_target_table, random_target_table
-from .metrics import (
-    ConvergenceFit,
-    bootstrap_kl_ci,
-    empirical_distribution,
-    fit_loglog_slope,
-    noise_floor,
-)
+from .masked import TargetTable, load_target_table, random_target_table
+from .metrics import bootstrap_kl_ci, empirical_distribution, fit_loglog_slope, noise_floor
 from .models import MaskedToyModel, ToyUniformModel, sample_simplex
 
 WORKERS_ENV = "THETALEAP_WORKERS"
@@ -45,6 +38,9 @@ MASKED_VOCAB = 4
 # and 10^5 resamples of the masked table's 64 cells take 51 MB per copy.
 MAX_SAMPLES = 10**8
 MAX_BOOTSTRAP = 10**5
+# Most worker processes a sweep may ask for: a pool forks one per chunk up to
+# --workers, and 10^8 samples make 6,104 chunks.
+MAX_WORKERS = 256
 
 # stream-purpose tags local to the CLI (solver tags live in engine)
 TAG_BOOT = 101
@@ -66,6 +62,9 @@ class ResultRow:
     rejection_frac: float
     wall_ms: float
     seed: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 
 def _setting(cast, help: str, *, listed: bool = False, default=MISSING):
@@ -102,12 +101,16 @@ class ExperimentConfig:
             raise ConfigError("steps list must be nonempty and strictly increasing")
         if not self.method or not self.theta:
             raise ConfigError(f"method and theta lists must be nonempty, got {self.method} and {self.theta}")
+        # a repeated value would sample the same cell twice under two bootstrap streams
+        for name, values in (("method", self.method), ("theta", self.theta)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} list repeats a value: {values}")
         if not (1 <= self.samples <= MAX_SAMPLES):
             raise ConfigError(f"need 1 <= samples <= {MAX_SAMPLES}, got {self.samples}")
         if not (0.0 < self.ci_level < 1.0):
             raise ConfigError(f"ci level must lie in (0, 1), got {self.ci_level}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if not (1 <= self.workers <= MAX_WORKERS):
+            raise ConfigError(f"need 1 <= workers <= {MAX_WORKERS}, got {self.workers}")
         if not (2 <= self.bootstrap <= MAX_BOOTSTRAP):
             raise ConfigError(f"need 2 <= bootstrap <= {MAX_BOOTSTRAP} resamples, got {self.bootstrap}")
         # SeedSequence rejects negative entropy
@@ -151,47 +154,27 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _json_float(x) -> str:
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    if math.isnan(x):
-        return "NaN"
-    return format(x, ".17g")
-
-
-# One formatter per value kind; floats carry 17 significant digits, and a CSV
-# cell reads back through the kind itself.
-_CSV_CELL = {str: str, int: str, float: lambda x: format(float(x), ".17g")}
-_JSON_VALUE = {str: json.dumps, int: str, float: _json_float}
-_ROW_KINDS = get_type_hints(ResultRow)
-_KINDS = {**_ROW_KINDS, **get_type_hints(ConvergenceFit)}
-CSV_HEADER = ",".join(_ROW_KINDS)
-
-
-def _json_object(values: dict) -> str:
-    parts = [f"{json.dumps(k)}: {_JSON_VALUE[_KINDS[k]](v)}" for k, v in values.items()]
-    return "{" + ", ".join(parts) + "}"
+def _csv_cell(v) -> str:
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def emit_results(rows, path, fmt: str = "csv", fits=None) -> None:
-    """Serialize result rows (and optional fits) with 17 significant digits.
+    """Write result rows (and optional fits) as CSV or JSON.
 
-    ``fits`` holds ``((method, theta), ConvergenceFit)`` pairs; JSON names each
-    fit by the result columns it summarizes.
+    CSV floats carry 17 significant digits; JSON floats are the shortest text
+    that reads back to the same double.  ``fits`` holds
+    ``((method, theta), ConvergenceFit)`` pairs; JSON names each fit by the
+    result columns it summarizes.
     """
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in rows:
-            lines.append(",".join(_CSV_CELL[_KINDS[k]](v) for k, v in asdict(r).items()))
+        lines = [CSV_HEADER] + [",".join(_csv_cell(v) for v in asdict(r).values()) for r in rows]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        row_objs = [_json_object(asdict(r)) for r in rows]
-        fit_objs = [
-            _json_object({**dict(zip(_ROW_KINDS, key)), **asdict(fit)}) for key, fit in fits or []
-        ]
-        text = (
-            '{"rows": [' + ", ".join(row_objs) + '], "fits": [' + ", ".join(fit_objs) + "]}\n"
-        )
+        payload = {
+            "rows": [asdict(r) for r in rows],
+            "fits": [{"method": method, "theta": theta, **asdict(fit)} for (method, theta), fit in fits or []],
+        }
+        text = json.dumps(payload) + "\n"
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
     if path == "-":
@@ -199,31 +182,6 @@ def emit_results(rows, path, fmt: str = "csv", fits=None) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def parse_results(path) -> list:
-    """Read back rows emitted by :func:`emit_results` (either format)."""
-    with open(path) as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        try:
-            return [ResultRow(**obj) for obj in json.loads(text)["rows"]]
-        # JSONDecodeError is a ValueError; a missing, extra or non-object row is a TypeError
-        except (ValueError, TypeError, KeyError) as exc:
-            raise DataError(f"malformed JSON results: {exc}") from None
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise DataError("empty results file or unrecognized results header")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(_ROW_KINDS):
-            raise DataError(f"expected {len(_ROW_KINDS)} columns, got {ln!r}")
-        try:
-            rows.append(ResultRow(*(kind(c) for kind, c in zip(_ROW_KINDS.values(), cells))))
-        except ValueError as exc:
-            raise DataError(f"malformed results row {ln!r}: {exc}") from None
-    return rows
 
 
 def _toy_target(config: ExperimentConfig) -> TargetTable:
@@ -336,7 +294,7 @@ def cmd_toy_converge(config: ExperimentConfig):
 
 def cmd_masked_converge(config: ExperimentConfig):
     table = _masked_target(config)
-    model = MaskedToyModel(table, NoiseSchedule(), horizon=config.horizon)
+    model = MaskedToyModel(table, horizon=config.horizon)
     return _sweep(config, model, table)
 
 

@@ -94,9 +94,9 @@ _SAMPLING_TAGS = frozenset((TAG_INIT, TAG_STEP, TAG_UNIF, TAG_FILL))
 class TimeGrid:
     """Uniform reverse-time grid 0 = s_0 < ... < s_N = horizon - delta, N = n_intervals.
 
-    ``rho[n] = s_n + theta (s_{n+1} - s_n)`` are the section points at which
-    the two-stage methods evaluate the intermediate intensity.  The horizon
-    must be finite and N at most ``MAX_INTERVALS``.
+    ``rho_n = s_n + theta (s_{n+1} - s_n)`` are the section points at which
+    the two-stage methods evaluate the intermediate intensity; ``interval(n)``
+    gives them.  The horizon must be finite and N at most ``MAX_INTERVALS``.
     """
 
     horizon: float
@@ -115,13 +115,11 @@ class TimeGrid:
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
 
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.diff(self.points)
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.points[:-1] + self.theta * self.deltas
+    def interval(self, n: int):
+        """``(s_n, dt, rho_n)`` of interval ``n``: its start, its length and its section point."""
+        s = self.points[n]
+        dt = self.points[n + 1] - s
+        return s, dt, s + self.theta * dt
 
 
 def alpha_coefficients(theta: float) -> tuple[float, float]:
@@ -324,11 +322,10 @@ def _step_interval(config: SolverConfig, model, states, chunk_idx: int, n: int, 
     grid = config.grid
     theta = grid.theta
     method = config.method
-    # one interval's entries of grid.deltas and grid.rho, without building either array
-    dt = grid.points[n + 1] - grid.points[n]
+    s, dt, rho = grid.interval(n)
     m = states.shape[0]
     rng1 = substream(config.seed, TAG_STEP, chunk_idx, n, 0)
-    mu0 = model.rates_batch(grid.points[n], states)
+    mu0 = model.rates_batch(s, states)
     tel.nfe += m
     if method == "tau-leaping":
         return _leap_batch(model, states, np.multiply(mu0, dt, out=mu0), rng1, tel)
@@ -337,7 +334,7 @@ def _step_interval(config: SolverConfig, model, states, chunk_idx: int, n: int, 
     rng2 = substream(config.seed, TAG_STEP, chunk_idx, n, 1)
     # the one new array: the combine still needs mu0
     ystar = _leap_batch(model, states, mu0 * (theta * dt), rng1, tel)
-    mustar = model.rates_batch(grid.points[n] + theta * dt, ystar)
+    mustar = model.rates_batch(rho, ystar)
     tel.nfe += m
     lam = _combine_stage2(method, mu0, mustar, theta, tel)
     del mu0  # spent by the combine; freeing it lowers the second leap's peak

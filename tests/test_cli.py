@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import re
 import subprocess
 import sys
 
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,11 @@ from thetaleap.cli import (
     build_config,
     emit_results,
     main,
-    parse_results,
 )
 from thetaleap.engine import CHUNK_SIZE, SolverConfig, substream
-from thetaleap.errors import ConfigError, DataError
+from thetaleap.errors import ConfigError
 from thetaleap.masked import random_target_table
+from thetaleap.metrics import ConvergenceFit
 from thetaleap.models import sample_simplex
 
 
@@ -37,40 +38,80 @@ def _rows():
     ]
 
 
+# the Python type each result column holds
+_KIND = {"str": str, "int": int, "float": float}
+_COLUMN_KINDS = {f.name: _KIND[f.type] for f in fields(ResultRow)}
+
+
+def _csv_cells(path) -> list[dict]:
+    """The CLI's CSV read back through the csv module, each cell cast to its column's type."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == CSV_HEADER.split(",")
+        return [{k: _COLUMN_KINDS[k](v) for k, v in cells.items()} for cells in reader]
+
+
+def _read_rows(path) -> list[ResultRow]:
+    return [ResultRow(**cells) for cells in _csv_cells(path)]
+
+
 def test_emit_parse_roundtrip_csv(tmp_path):
     path = tmp_path / "out.csv"
     rows = _rows()
     emit_results(rows, path, "csv")
     text = path.read_text()
     assert text.splitlines()[0] == CSV_HEADER
-    assert parse_results(path) == rows
+    assert text.splitlines()[2].split(",")[6] == "inf"
+    assert _read_rows(path) == rows
 
 
 def test_emit_parse_roundtrip_json(tmp_path):
     path = tmp_path / "out.json"
     rows = _rows()
-    emit_results(rows, path, "json")
-    assert parse_results(path) == rows
+    fit = ConvergenceFit(-1.25, 0.5, 0.99, 3)
+    emit_results(rows, path, "json", fits=[(("tau-leaping", 0.5), fit)])
     payload = json.loads(path.read_text())
+    assert [ResultRow(**obj) for obj in payload["rows"]] == rows
     assert list(payload["rows"][0].keys())[0] == "method"
-    # a row missing fields, truncated JSON and a row with an unknown field
-    for text in ('{"rows": [{"method": "euler"}]}', path.read_text()[:40], '{"rows": [{"bogus": 1}]}'):
-        path.write_text(text)
-        with pytest.raises(DataError):
-            parse_results(path)
+    # float columns load as floats, also where the value is whole
+    assert all(type(obj[k]) is _COLUMN_KINDS[k] for obj in payload["rows"] for k in obj)
+    assert payload["fits"] == [{"method": "tau-leaping", "theta": 0.5, **asdict(fit)}]
 
 
 def test_emit_empty_table_is_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     emit_results([], path, "csv")
     assert path.read_text() == CSV_HEADER + "\n"
-    assert parse_results(path) == []
-    path.write_text("")
-    with pytest.raises(DataError):
-        parse_results(path)
-    path.write_text(CSV_HEADER + "\neuler,abc" + ",0" * 9 + "\n")
-    with pytest.raises(DataError):
-        parse_results(path)
+    assert _read_rows(path) == []
+    emit_results([], path, "json")
+    assert json.loads(path.read_text()) == {"rows": [], "fits": []}
+
+
+def _same(a, b) -> bool:
+    return type(a) is type(b) and (a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b)))
+
+
+def test_json_values_equal_csv_cells_exactly(tmp_path):
+    # one seed-0 sweep written both ways, plus a row of non-finite floats
+    cfg = build_config(
+        "toy-converge",
+        {"samples": "2000", "steps": "4,8,16", "method": "tau-leaping,theta-rk2,theta-trapezoidal",
+         "bootstrap": "50", "seed": "0", "min_fit_steps": "4"},
+    )
+    rows, fits = COMMANDS["toy-converge"](cfg)
+    assert len(rows) == 9
+    rows.append(ResultRow("euler", 0.25, 4, 4.0, math.nan, -math.inf, math.inf, 1.0, 0.0, 0.1, 0))
+    emit_results(rows, tmp_path / "out.csv", "csv")
+    emit_results(rows, tmp_path / "out.json", "json", fits=fits)
+    from_csv = _csv_cells(tmp_path / "out.csv")
+    text = (tmp_path / "out.json").read_text()
+    from_json = json.loads(text)["rows"]
+    assert len(from_json) == len(from_csv) == 10
+    for obj, cells in zip(from_json, from_csv):
+        assert list(obj) == list(cells)
+        assert all(_same(obj[k], cells[k]) for k in cells), (obj, cells)
+    assert '"kl": NaN, "ci_lo": -Infinity, "ci_hi": Infinity' in text
+    assert fits and len(json.loads(text)["fits"]) == len(fits)
 
 
 def test_csv_floats_have_17_significant_digits(tmp_path):
@@ -110,6 +151,11 @@ def test_build_config_rejects_bad_values(tmp_path, monkeypatch):
         {"seed": "-1"},
         {"p0_seed": "-1"},
         {"bootstrap": "1"},
+        {"workers": "0"},
+        # refused while the config is built, so no pool forks: 10^8 samples
+        # make 6,104 chunks, and a pool starts one worker per chunk up to --workers
+        {"workers": str(cli.MAX_WORKERS + 1)},
+        {"workers": "100000", "samples": str(cli.MAX_SAMPLES)},
     ]
     for flags in bad:
         with pytest.raises(ConfigError):
@@ -186,7 +232,7 @@ def test_cli_toy_small_run_and_determinism_across_workers(tmp_path):
         return [",".join(f.split(",")[:9] + f.split(",")[10:]) for f in lines]
 
     assert strip_wall(out1) == strip_wall(out2)
-    rows = parse_results(out1)
+    rows = _read_rows(out1)
     assert len(rows) == 4
     assert all(r.ci_lo <= r.kl <= r.ci_hi for r in rows)
 
@@ -204,7 +250,7 @@ def test_cli_masked_small_run(tmp_path):
         ],
     )
     assert code == 0
-    rows = parse_results(out)
+    rows = _read_rows(out)
     assert {r.method for r in rows} == {"tau-leaping", "theta-trapezoidal"}
 
 
@@ -215,7 +261,7 @@ def test_cli_exact_check_small_run(tmp_path):
         ["exact-check", "--samples", "20000", "--steps", "16", "--seed", "2", "--bootstrap", "50"],
     )
     assert code == 0
-    row = parse_results(out)[0]
+    row = _read_rows(out)[0]
     assert row.method == "uniformization"
     assert row.nfe > 0 and row.kl < 20 * 14 / (2 * 20000)
 
@@ -242,6 +288,12 @@ def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
         ["--samples", "10000000000000"],
         ["--bootstrap", str(cli.MAX_BOOTSTRAP + 1)],
         ["--bootstrap", "100000000"],
+        # a repeated method or theta would sample one cell twice
+        ["--method", "tau-leaping,tau-leaping", "--samples", "1000"],
+        ["--method", "euler,tau-leaping,euler", "--samples", "1000"],
+        ["--theta", "0.5,0.5", "--samples", "1000"],
+        ["--theta", "0.25,0.250", "--samples", "1000"],
+        ["--workers", str(cli.MAX_WORKERS + 1), "--samples", "1000"],
     ):
         assert main(["toy-converge"] + argv) == 2
     monkeypatch.setenv("THETALEAP_WORKERS", "abc")
@@ -318,7 +370,7 @@ def test_cli_target_file_roundtrip(tmp_path):
     )
     assert code == 0
     # uniform target: the sampler preserves uniformity, so KL sits near the floor
-    assert parse_results(out)[0].kl < 20 * 14 / (2 * 5000)
+    assert _read_rows(out)[0].kl < 20 * 14 / (2 * 5000)
 
 
 def test_cli_toy_target_file_of_another_shape_fails_before_sampling(tmp_path, monkeypatch, capsys):
@@ -367,7 +419,7 @@ def test_cli_masked_large_vocabulary(tmp_path):
          "--bootstrap", "10", "--target-file", table],
     )
     assert code == 0
-    assert parse_results(out)[0].steps == 4
+    assert _read_rows(out)[0].steps == 4
 
 
 @pytest.mark.parametrize("command,d,S", [("masked-converge", 3, 4), ("toy-converge", 1, 15)])
@@ -463,14 +515,16 @@ def test_cli_serial_or_single_chunk_sweep_starts_no_pool(tmp_path, pool_log, sam
 
 
 def test_package_and_cli_import_numpy_but_not_scipy():
-    # numpy is the only runtime dependency, although the tests use scipy
+    # numpy is the only runtime dependency, although the tests use scipy; and
+    # the package root holds no re-exports, so importing it loads no submodule
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import thetaleap, thetaleap.cli; "
+        f"import sys; sys.path.insert(0, {str(src)!r}); import thetaleap; "
+        "print(sorted(m for m in sys.modules if m.startswith('thetaleap.'))); import thetaleap.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     done = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split() == ["[]", "[]"]
 
 
 def test_workers_env_default(monkeypatch):
@@ -545,6 +599,24 @@ def test_cli_output_bytes_are_pinned(tmp_path, name):
     wall = CSV_HEADER.split(",").index("wall_ms")
     cells = [line.split(",") for line in out.read_text().splitlines()]
     text = "".join(",".join(c[:wall] + c[wall + 1 :]) + "\n" for c in cells)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Seed-0 JSON text pinned byte for byte, each wall_ms value masked: the rows
+# and the two per-method fits, every float the shortest text of its double.
+PINNED_JSON = (
+    ["toy-converge", "--samples", "2000", "--steps", "4,8,16", "--method", "tau-leaping,theta-trapezoidal",
+     "--bootstrap", "50", "--min-fit-steps", "4", "--format", "json"],
+    "99698ea3c50fea8e0fdfcfeb819dc705a78cace23446275c6403ba5289e5c1c9",
+)
+
+
+def test_cli_json_bytes_are_pinned(tmp_path):
+    argv, digest = PINNED_JSON
+    out = tmp_path / "out.json"
+    assert main(argv + ["--seed", "0", "--out", str(out)]) == 0
+    text, masked = re.subn(r'"wall_ms": [^,]+', '"wall_ms": 0', out.read_text())
+    assert masked == 6 and len(json.loads(text)["fits"]) == 2
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

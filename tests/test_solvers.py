@@ -33,29 +33,40 @@ def _sample(model, method, horizon, m, n_steps=1, theta=0.5, seed=0):
 # time grids
 
 
+def _intervals(g):
+    """Columns (s_n, dt_n, rho_n) of every interval, as the engine reads them."""
+    return np.array([g.interval(n) for n in range(g.n_intervals)]).T
+
+
 def test_make_time_grid_arithmetic_example():
     g = TimeGrid(12.0, 0.0, 4, 0.5)
     assert np.array_equal(g.points, [0.0, 3.0, 6.0, 9.0, 12.0])
-    assert np.array_equal(g.rho, [1.5, 4.5, 7.5, 10.5])
-    assert np.array_equal(g.deltas, [3.0, 3.0, 3.0, 3.0])
+    s, dt, rho = _intervals(g)
+    assert np.array_equal(s, [0.0, 3.0, 6.0, 9.0])
+    assert np.array_equal(rho, [1.5, 4.5, 7.5, 10.5])
+    assert np.array_equal(dt, [3.0, 3.0, 3.0, 3.0])
     assert not g.points.flags.writeable
 
 
 def test_make_time_grid_theta_one_sections_at_right_endpoint():
     g = TimeGrid(2.0, 0.0, 4, 1.0)
-    assert np.allclose(g.rho, g.points[1:])
+    assert np.allclose(_intervals(g)[2], g.points[1:])
 
 
 def test_make_time_grid_single_interval():
     g = TimeGrid(1.0, 1e-3, 1, 0.5)
     assert g.n_intervals == 1
     assert np.allclose(g.points, [0.0, 1.0 - 1e-3])
+    s, dt, rho = g.interval(0)
+    assert s == 0.0 and dt == g.points[1] and rho == 0.5 * g.points[1]
 
 
 def test_make_time_grid_section_point_identity():
     g = TimeGrid(7.3, 0.1, 9, 0.37)
-    assert np.abs((g.rho - g.points[:-1]) - 0.37 * g.deltas).max() < 1e-15
-    assert np.all(g.rho > g.points[:-1]) and np.all(g.rho <= g.points[1:])
+    s, dt, rho = _intervals(g)
+    assert np.array_equal(s, g.points[:-1]) and np.array_equal(dt, np.diff(g.points))
+    assert np.abs((rho - s) - 0.37 * dt).max() < 1e-15
+    assert np.all(rho > s) and np.all(rho <= g.points[1:])
 
 
 def test_make_time_grid_rejects_bad_inputs():
