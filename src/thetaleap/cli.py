@@ -25,7 +25,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .engine import ChunkPool, SolverConfig, TimeGrid, run_sampler, substream
-from .errors import ConfigError, DataError, NumericalError, ThetaLeapError
+from .errors import ConfigError, DataError, ThetaLeapError
 from .masked import TargetTable, load_target_table, random_target_table
 from .metrics import bootstrap_kl_ci, empirical_distribution, fit_loglog_slope, noise_floor
 from .models import MaskedToyModel, ToyUniformModel, sample_simplex
@@ -182,6 +182,13 @@ def emit_results(rows, path, fmt: str = "csv", fits=None) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Fail before any sampling unless ``path`` is '-' or a file in a writable directory."""
+    parent = os.path.dirname(path) or "."
+    if path != "-" and (os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK))):
+        raise OSError(f"cannot write results to {path!r}: not a file in a writable directory")
 
 
 def _toy_target(config: ExperimentConfig) -> TargetTable:
@@ -368,6 +375,7 @@ def main(argv=None) -> int:
     flag_values = {k: v for k, v in vars(args).items() if k != "command"}
     try:
         config = build_config(args.command, flag_values)
+        _check_writable(config.out)
         rows, fits = COMMANDS[args.command](config)
         emit_results(rows, config.out, config.format, fits=fits)
     except (ConfigError, DataError) as exc:
@@ -376,7 +384,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         _info(f"i/o error: {exc}")
         return 3
-    except (NumericalError, ThetaLeapError) as exc:
+    except ThetaLeapError as exc:
         _info(f"model error: {exc}")
         return 4
     return 0

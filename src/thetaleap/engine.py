@@ -10,15 +10,12 @@ reports the counters of :class:`StepTelemetry`.  The exact one-interval
 kernels in ``tests/kernel_oracle.py`` are the reference this engine is
 checked against.
 
-Trajectories are processed in fixed-size chunks.  Every random draw comes
-from a stream keyed by (seed, purpose, chunk, interval, stage), so the
-output is a pure function of the seed and the sample count: worker
-processes only change wall time, never bytes.  ``CHUNK_SIZE`` is part of
-that reproducibility contract; changing it changes the streams.
-:func:`substream` builds the engine's own sampling streams (``TAG_INIT``,
-``TAG_STEP``, ``TAG_UNIF``, ``TAG_FILL``) on PCG64DXSM, whose Poisson and
-uniform draws are cheaper, and every other purpose on Philox, so the CLI's
-random targets do not depend on the sampler's bit generator.
+Trajectories are processed in fixed-size chunks.  A chunk runs start to
+finish in one process and takes every draw, in a fixed order, from one
+stream keyed by (seed, chunk), so the output is a pure function of the seed
+and the sample count: worker processes only change wall time, never bytes.
+``CHUNK_SIZE`` is part of that reproducibility contract; changing it changes
+the streams.
 
 :func:`run_sampler` runs the chunks in this process, or on a
 :class:`ChunkPool` that a sweep opens for its model and keeps for all of its
@@ -47,8 +44,8 @@ Uniformization thins a dominating Poisson clock window by window.  Each
 window is split into ``ENVELOPE_PIECES`` equal pieces, and the model's
 ``total_bound(piece_lo, piece_hi)`` (one vectorized call per chunk; a scalar
 is broadcast) gives a piecewise-constant envelope that dominates every
-trajectory's total rate on its piece.  The window's substream first draws
-one candidate count per trajectory, Poisson(window mass of the envelope);
+trajectory's total rate on its piece.  Each window first draws one
+candidate count per trajectory, Poisson(window mass of the envelope);
 that count is the trajectory's NFE in the window, so NFE counts envelope
 candidates.  Each round then takes every trajectory that still has
 candidates to its next candidate time: the next uniform order statistic in
@@ -82,12 +79,8 @@ ENVELOPE_PIECES = 16
 # Largest step count a grid accepts; its float64 points then take 80 MB.
 MAX_INTERVALS = 10**7
 
-# Stream-purpose tags; part of the reproducibility contract.
-TAG_INIT = 1
-TAG_STEP = 2
-TAG_UNIF = 3
-TAG_FILL = 4
-_SAMPLING_TAGS = frozenset((TAG_INIT, TAG_STEP, TAG_UNIF, TAG_FILL))
+# Stream-purpose tag of each chunk's sampling stream; part of the reproducibility contract.
+TAG_SAMPLE = 1
 
 
 @dataclass(frozen=True)
@@ -197,15 +190,14 @@ class SolverConfig:
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one (purpose, chunk, interval, stage) slot.
+    """Independent generator for ``key`` under ``seed``.
 
-    The engine's own purposes (``TAG_INIT``, ``TAG_STEP``, ``TAG_UNIF``,
-    ``TAG_FILL``) get a PCG64DXSM stream, because sampling spends most of its
-    time in their Poisson and uniform draws.  Every other key (the CLI's
+    A chunk's sampling stream, key (``TAG_SAMPLE``, chunk), is PCG64DXSM,
+    whose Poisson and uniform draws are cheaper.  Every other key (the CLI's
     target and bootstrap draws, test fixtures) gets a Philox stream, so a
     seeded target does not depend on the sampler's bit generator.
     """
-    bits = np.random.PCG64DXSM if key and key[0] in _SAMPLING_TAGS else np.random.Philox
+    bits = np.random.PCG64DXSM if key and key[0] == TAG_SAMPLE else np.random.Philox
     return np.random.Generator(bits(np.random.SeedSequence((seed, *key))))
 
 
@@ -315,32 +307,30 @@ def _combine_stage2(method, mu0, mustar, theta, tel: StepTelemetry):
     return np.maximum(mustar, 0.0, out=mustar)
 
 
-def _step_interval(config: SolverConfig, model, states, chunk_idx: int, n: int, tel: StepTelemetry):
-    """Interval ``n`` of a stepping method.  Each rates array is scaled in place
-    into its Poisson means (or Euler probabilities), and all of them are freed
-    when this returns."""
+def _step_interval(config: SolverConfig, model, states, rng, n: int, tel: StepTelemetry):
+    """Interval ``n`` of a stepping method, drawn from the chunk's ``rng``.
+    Each rates array is scaled in place into its Poisson means (or Euler
+    probabilities), and all of them are freed when this returns."""
     grid = config.grid
     theta = grid.theta
     method = config.method
     s, dt, rho = grid.interval(n)
     m = states.shape[0]
-    rng1 = substream(config.seed, TAG_STEP, chunk_idx, n, 0)
     mu0 = model.rates_batch(s, states)
     tel.nfe += m
     if method == "tau-leaping":
-        return _leap_batch(model, states, np.multiply(mu0, dt, out=mu0), rng1, tel)
+        return _leap_batch(model, states, np.multiply(mu0, dt, out=mu0), rng, tel)
     if method == "euler":
-        return _euler_batch(model, states, np.multiply(mu0, dt, out=mu0), rng1, tel)
-    rng2 = substream(config.seed, TAG_STEP, chunk_idx, n, 1)
+        return _euler_batch(model, states, np.multiply(mu0, dt, out=mu0), rng, tel)
     # the one new array: the combine still needs mu0
-    ystar = _leap_batch(model, states, mu0 * (theta * dt), rng1, tel)
+    ystar = _leap_batch(model, states, mu0 * (theta * dt), rng, tel)
     mustar = model.rates_batch(rho, ystar)
     tel.nfe += m
     lam = _combine_stage2(method, mu0, mustar, theta, tel)
     del mu0  # spent by the combine; freeing it lowers the second leap's peak
     if method == "theta-rk2":
-        return _leap_batch(model, states, np.multiply(lam, dt, out=lam), rng2, tel)
-    return _leap_batch(model, ystar, np.multiply(lam, (1.0 - theta) * dt, out=lam), rng2, tel)
+        return _leap_batch(model, states, np.multiply(lam, dt, out=lam), rng, tel)
+    return _leap_batch(model, ystar, np.multiply(lam, (1.0 - theta) * dt, out=lam), rng, tel)
 
 
 def _envelope(model, points: np.ndarray):
@@ -358,17 +348,16 @@ def _envelope(model, points: np.ndarray):
     return edges, bounds, cum_mass
 
 
-def _uniformize_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: StepTelemetry):
-    """Exact simulation by thinning; the draw layout is in the module docstring."""
+def _uniformize_chunk(config: SolverConfig, model, states, rng, tel: StepTelemetry):
+    """Exact simulation by thinning on the chunk's ``rng``; the draw layout is in the module docstring."""
     m = states.shape[0]
     nfe_per = np.zeros(m, dtype=np.int64)
     ones = np.ones(model.n_coords * model.slots_per_coord)
     envelope = _envelope(model, config.grid.points)
-    for w, (edges, bounds, cum_mass) in enumerate(zip(*envelope)):
+    for edges, bounds, cum_mass in zip(*envelope):
         mass = cum_mass[-1]
         # time per unit of envelope mass on each piece (0 on empty pieces)
         slope = np.divide(1.0, bounds, out=np.zeros_like(bounds), where=bounds > 0.0)
-        rng = substream(config.seed, TAG_UNIF, chunk_idx, w)
         n_cand = rng.poisson(mass, size=m)
         nfe_per += n_cand
         rows = np.flatnonzero(n_cand)
@@ -404,15 +393,16 @@ def _uniformize_chunk(config: SolverConfig, model, states, chunk_idx: int, tel: 
 def _run_chunk(config: SolverConfig, model, chunk_idx: int, m: int):
     tel = StepTelemetry()
     try:
-        states = model.sample_q0_batch(substream(config.seed, TAG_INIT, chunk_idx), m)
+        rng = substream(config.seed, TAG_SAMPLE, chunk_idx)
+        states = model.sample_q0_batch(rng, m)
         nfe_per = None
         if config.method == "uniformization":
-            states, nfe_per = _uniformize_chunk(config, model, states, chunk_idx, tel)
+            states, nfe_per = _uniformize_chunk(config, model, states, rng, tel)
         else:
             for n in range(config.grid.n_intervals):
-                states = _step_interval(config, model, states, chunk_idx, n, tel)
+                states = _step_interval(config, model, states, rng, n, tel)
         if hasattr(model, "finalize_batch"):
-            states = model.finalize_batch(states, substream(config.seed, TAG_FILL, chunk_idx), tel)
+            states = model.finalize_batch(states, rng, tel)
         samples = model.encode(states)
     except ThetaLeapError as exc:
         lo = chunk_idx * CHUNK_SIZE

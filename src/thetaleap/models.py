@@ -107,11 +107,11 @@ class MaskedToyModel:
     Sampling starts from the all-MASK label (S+1)^d - 1; any position still
     masked when the grid ends is filled from the exact conditional given the
     unmasked portion (a conditionally unbiased completion, counted
-    separately from stepping NFE).  Per-label tables of the first masked
-    position and the target index (-1 while a position is masked) are built
-    at construction; the conditionals come from one oracle call at the first
-    ``rates_batch`` or ``finalize_batch``, which a wrapper put on the oracle
-    after construction still sees.
+    separately from stepping NFE).  A per-label table of the target index
+    (-1 while a position is masked) is built at construction; the
+    conditionals come from one oracle call at the first ``rates_batch`` or
+    ``finalize_batch``, which a wrapper put on the oracle after construction
+    still sees.
     """
 
     def __init__(self, table: TargetTable, schedule: NoiseSchedule | None = None, horizon: float = 1.0):
@@ -128,7 +128,6 @@ class MaskedToyModel:
         self._digit = (self.S + 1) ** np.arange(self.d, dtype=np.int64)
         self._contexts = np.arange((self.S + 1) ** self.d)[:, None] // self._digit % (self.S + 1)
         masked = self._contexts == self.S
-        self._first = np.where(masked.any(axis=1), masked.argmax(axis=1), -1)
         self._index = np.where(masked.any(axis=1), -1, self._contexts @ self.S ** np.arange(self.d)[::-1])
         self._cond = self._live = None
 
@@ -160,8 +159,8 @@ class MaskedToyModel:
 
     def total_bound(self, s_lo: float, s_hi: float) -> float:
         raise ConfigError(
-            "uniformization is not supported for the masked model: the unmask "
-            "intensity is unbounded toward the data end"
+            "uniformization is not implemented for the masked model; "
+            "use euler, tau-leaping, theta-rk2 or theta-trapezoidal"
         )
 
     def sample_q0_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
@@ -181,16 +180,14 @@ class MaskedToyModel:
 
     def finalize_batch(self, labels, rng: np.random.Generator, tel) -> np.ndarray:
         labels = labels.copy()
-        for _ in range(self.d):
-            rows = np.flatnonzero(self._first[labels] >= 0)
-            if rows.size == 0:
-                break
+        # round l fills position l wherever it is masked, so each row fills in position order
+        for l in range(self.d):
+            rows = np.flatnonzero(self._contexts[labels, l] == self.S)
             todo = labels[rows]
-            first = self._first[todo]
-            cond = self._conditionals(todo).reshape(-1, self.d, self.S)[todo, first, :]
+            cond = self._conditionals(todo).reshape(-1, self.d, self.S)[todo, l, :]
             tel.final_fill_evals += int(rows.size)
             vals = categorical(cond, rng.random(rows.size))
-            labels[rows] += (vals - self.S) * self._digit[first]
+            labels[rows] += (vals - self.S) * self._digit[l]
         return labels
 
     def encode(self, labels: np.ndarray) -> np.ndarray:

@@ -337,18 +337,24 @@ def test_cli_rejects_a_bad_sweep_cell_before_sampling(tmp_path, monkeypatch, arg
     assert calls == []
 
 
-def test_cli_exit_code_io_error(tmp_path):
-    code = main(
-        [
-            "toy-converge",
-            "--samples", "2000",
-            "--steps", "4",
-            "--method", "tau-leaping",
-            "--bootstrap", "10",
-            "--out", str(tmp_path / "missing-dir" / "x.csv"),
-        ]
-    )
-    assert code == 3
+def test_cli_exit_code_io_error(tmp_path, monkeypatch):
+    # an output that cannot be created, in a missing directory or at a path
+    # that is a directory, fails before the first cell samples
+    calls = []
+    monkeypatch.setattr(cli, "run_sampler", lambda *a, **k: calls.append(a))
+    for out in (tmp_path / "missing-dir" / "x.csv", tmp_path):
+        code = main(
+            [
+                "toy-converge",
+                "--samples", "2000",
+                "--steps", "4",
+                "--method", "tau-leaping",
+                "--bootstrap", "10",
+                "--out", str(out),
+            ]
+        )
+        assert code == 3
+    assert calls == []
 
 
 def test_cli_target_file_roundtrip(tmp_path):
@@ -390,7 +396,9 @@ def test_cli_toy_target_file_of_another_shape_fails_before_sampling(tmp_path, mo
 
 
 def test_cli_exit_code_numerical_error(tmp_path):
-    # Euler with a 3-unit step: transition probabilities exceed one
+    # Euler with a 3-unit step: transition probabilities exceed one; results
+    # are written only at the end, so the failed run leaves --out untouched
+    (tmp_path / "x.csv").write_text("earlier results\n")
     code = main(
         [
             "toy-converge",
@@ -402,6 +410,7 @@ def test_cli_exit_code_numerical_error(tmp_path):
         ]
     )
     assert code == 4
+    assert (tmp_path / "x.csv").read_text() == "earlier results\n"
 
 
 def _write_table(path, probs, d, S):
@@ -572,21 +581,21 @@ PINNED_OUTPUTS = {
     "toy": (
         ["toy-converge", "--samples", "2000", "--steps", "64,128",
          "--method", "euler,tau-leaping,theta-rk2,theta-trapezoidal", "--bootstrap", "50"],
-        "e8210f5dcece401110226096f396fc77560849b7b0f49bc8d6a0693155143c41",
+        "23ee3839a476bc1a3a16851f442f88ea596ea655d9686c6818fa8b32cbff6558",
     ),
     "masked": (
         ["masked-converge", "--samples", "20000", "--steps", "4,8", "--delta", "0.5",
          "--method", "euler,tau-leaping,theta-trapezoidal", "--bootstrap", "50"],
-        "de8707130d471408583c5547477af30451957e67d1946aea02d42d5617c3daae",
+        "64d4fb8ef0b42b2235992d630136a351e61ee5203edb6dee69a913f7ab93061d",
     ),
     "exact-check": (
         ["exact-check", "--samples", "2000", "--steps", "4", "--bootstrap", "50"],
-        "045d3d4165b8ac59d0315ecedbcca21b899c3e6d68ec09d0bd4a234489beddc5",
+        "93a73bca4387f87107b1ad7c614f23fcf556e2a31a8b66efe23f19acde1ecf3b",
     ),
     "two-chunk": (
         ["toy-converge", "--samples", str(CHUNK_SIZE + 100), "--steps", "2",
          "--method", "theta-trapezoidal", "--bootstrap", "50"],
-        "82be4584b815b00773da2f48f38b99b8723f2fd252393cb1d41b8084de59d62c",
+        "2e462b80e1dca48ed8ae942b48a4ef8243c700b985863ac23ca8e6e09ebb035c",
     ),
 }
 
@@ -607,7 +616,7 @@ def test_cli_output_bytes_are_pinned(tmp_path, name):
 PINNED_JSON = (
     ["toy-converge", "--samples", "2000", "--steps", "4,8,16", "--method", "tau-leaping,theta-trapezoidal",
      "--bootstrap", "50", "--min-fit-steps", "4", "--format", "json"],
-    "99698ea3c50fea8e0fdfcfeb819dc705a78cace23446275c6403ba5289e5c1c9",
+    "77fc1e1365145fa6ec69f96aeb449f8d86d918a951de82f0120cd0c87bdcf172",
 )
 
 

@@ -100,6 +100,29 @@ def test_chunk_pool_serves_only_its_model(toy):
             run_sampler(cfg, ToyUniformModel(toy.p0, horizon=HORIZON), 10, pool=pool)
 
 
+@pytest.mark.parametrize(
+    "kind,method",
+    [("toy", method) for method in engine.METHODS]
+    # the masked model implements no uniformization bound
+    + [("masked", method) for method in engine.METHODS if method != "uniformization"],
+)
+def test_one_substream_per_chunk(toy, monkeypatch, kind, method):
+    # a chunk draws its initial states, every interval or window and the
+    # masked fill from one stream keyed by (seed, chunk)
+    if kind == "toy":
+        model, grid = toy, TimeGrid(HORIZON, 0.0, 32, 0.5)
+    else:
+        model = MaskedToyModel(random_target_table(2, 3, substream(3, 103)))
+        grid = TimeGrid(1.0, 0.5, 4, 0.5)
+    keys = []
+    real = engine.substream
+    monkeypatch.setattr(engine, "substream", lambda *key: keys.append(key) or real(*key))
+    monkeypatch.setattr(engine, "CHUNK_SIZE", 50)
+    _, tel, _ = run_sampler(SolverConfig(method, grid, seed=7), model, 120)
+    assert keys == [(7, engine.TAG_SAMPLE, chunk) for chunk in range(3)]
+    assert tel.drawn_jumps > 0 and (tel.final_fill_evals > 0) == (kind == "masked")
+
+
 def test_nfe_accounting(toy):
     m = 5000
     for method, per_step in (("tau-leaping", 1), ("theta-rk2", 2), ("theta-trapezoidal", 2)):

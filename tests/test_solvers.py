@@ -141,7 +141,7 @@ def test_tau_leap_applies_at_most_one_jump_per_coordinate(monkeypatch):
     draws = record_poisson(monkeypatch)
     m = 500
     samples, tel, _ = _sample(ConstantRates([[0.0, 0.8], [0.0, 0.8]]), "tau-leaping", 1.0, m, seed=4)
-    per_coord = draws[(engine.TAG_STEP, 0, 0, 0)].reshape(m, 2, 2).sum(axis=2)
+    per_coord = draws[0][0].reshape(m, 2, 2).sum(axis=2)
     reject = (per_coord > 1).any(axis=1)
     moved = np.where(reject[:, None], 0, per_coord)
     assert 0 < reject.sum() < m and tel.rejected_steps == reject.sum()
@@ -242,7 +242,7 @@ def test_error_on_negative_policy_raises(monkeypatch):
     model = SwitchedRates([[0.0, 1.0]], switch=0.1)
     _, tel, _ = _sample(model, "theta-trapezoidal", 1.0, 100, n_steps=2, seed=14)
     assert tel.negative_intensity_events == 100
-    assert np.all(draws[(engine.TAG_STEP, 0, 0, 1)] == 0)
+    assert np.all(draws[0][1] == 0)  # chunk 0's second draw: interval 0, stage 2
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])

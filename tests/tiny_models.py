@@ -113,31 +113,27 @@ class TwoState(ConstantRates):
 
 
 def record_poisson(monkeypatch) -> dict:
-    """Keep every Poisson draw the engine makes, keyed by its stream key minus the seed."""
+    """Keep every Poisson draw the engine makes: chunk index -> that chunk's draws, in order."""
     draws = {}
     real = engine.substream
 
     class Recorder:
-        def __init__(self, key):
-            self._gen = real(*key)
-            self._key = key[1:]
+        def __init__(self, seed, tag, chunk):
+            self._gen = real(seed, tag, chunk)
+            self._draws = draws.setdefault(chunk, [])
 
         def poisson(self, *args, **kwargs):
             out = self._gen.poisson(*args, **kwargs)
-            draws[self._key] = out
+            self._draws.append(out)
             return out
 
         def __getattr__(self, name):
             return getattr(self._gen, name)
 
-    monkeypatch.setattr(engine, "substream", lambda *key: Recorder(key))
+    monkeypatch.setattr(engine, "substream", Recorder)
     return draws
 
 
 def drawn_per_trajectory(draws: dict) -> np.ndarray:
     """Pre-rejection jump counts per trajectory, summed over every leap of its chunk."""
-    per_chunk = {}
-    for (tag, chunk, *_), counts in draws.items():
-        if tag == engine.TAG_STEP:
-            per_chunk[chunk] = per_chunk.get(chunk, 0) + counts.sum(axis=1)
-    return np.concatenate([per_chunk[c] for c in sorted(per_chunk)])
+    return np.concatenate([sum(c.sum(axis=1) for c in draws[chunk]) for chunk in sorted(draws)])
