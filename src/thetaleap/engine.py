@@ -8,7 +8,12 @@ a method, a seed and a :class:`TimeGrid`, the uniform reverse-time grid on
 evaluate their intermediate intensity.  :func:`run_sampler` runs it and
 reports the counters of :class:`StepTelemetry`.  The exact one-interval
 kernels in ``tests/kernel_oracle.py`` are the reference this engine is
-checked against.
+checked against.  They share its update rule: a leap rejects its update whole
+when any coordinate draws more than one jump, and the stage-2 combine mixes
+the rates of one slot (a move to one value) from two states.  The paper
+states its schemes on a Poisson random measure, where jump counts add; the
+two rules agree on the masked model and differ on the toy in constants, not
+in orders (README, Samplers).
 
 Trajectories are processed in fixed-size chunks.  A chunk runs start to
 finish in one process and takes every draw, in a fixed order, from one
@@ -35,25 +40,22 @@ Batch models implement:
     into Poisson means), so it must not be a view of the model's own tables
   - ``apply(states, rows, coords, vals)``: in-place jump application
   - ``encode(states)``: each trajectory's index into the target's states
-  - optionally ``total_bound(s_lo, s_hi)`` (uniformization): a bound on
-    every trajectory's total rate over (s_lo, s_hi], elementwise over
-    arrays of windows or one scalar for all of them, and
-    ``finalize_batch(states, rng, telemetry)``
+  - ``total_bound(s_lo, s_hi)``, which both models implement: a bound on every
+    trajectory's total rate over (s_lo, s_hi], elementwise or one scalar for all
+  - optionally ``finalize_batch(states, rng, telemetry)``
 
 Uniformization thins a dominating Poisson clock window by window.  Each
 window is split into ``ENVELOPE_PIECES`` equal pieces, and the model's
 ``total_bound(piece_lo, piece_hi)`` (one vectorized call per chunk; a scalar
 is broadcast) gives a piecewise-constant envelope that dominates every
 trajectory's total rate on its piece.  Each window first draws one
-candidate count per trajectory, Poisson(window mass of the envelope);
-that count is the trajectory's NFE in the window, so NFE counts envelope
-candidates.  Each round then takes every trajectory that still has
-candidates to its next candidate time: the next uniform order statistic in
-envelope-mass space, mapped to time by the exact piecewise-linear inverse.
-The jump is accepted with one uniform against total rate / the bound of the
-candidate's piece.  Rounds run over a compacted array of the still-active
-rows, so the work scales with the candidates drawn (the NFE), not with
-trajectories x the largest count.  ``ENVELOPE_PIECES`` is part of the
+candidate count per trajectory, Poisson(window mass of the envelope): the
+trajectory's NFE in the window.  Each round then takes every trajectory with
+candidates left to its next candidate time, the next uniform order statistic
+in envelope mass mapped to time by the exact piecewise-linear inverse, and
+accepts the jump with one uniform against total rate / the piece's bound.
+Rounds run over the still-active rows, so the work scales with the NFE, not
+with trajectories x the largest count.  ``ENVELOPE_PIECES`` is part of the
 reproducibility contract, like ``CHUNK_SIZE``.
 """
 

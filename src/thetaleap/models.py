@@ -157,11 +157,9 @@ class MaskedToyModel:
             self.oracle.conditional_probs(self._contexts[labels])  # raises, naming a zero-mass context
         return self._cond
 
-    def total_bound(self, s_lo: float, s_hi: float) -> float:
-        raise ConfigError(
-            "uniformization is not implemented for the masked model; "
-            "use euler, tau-leaping, theta-rk2 or theta-trapezoidal"
-        )
+    def total_bound(self, s_lo, s_hi):
+        """d coef(s_hi), elementwise: a label's total rate is (#masked) coef(s), growing with s."""
+        return self.d * self._coef(s_hi)
 
     def sample_q0_batch(self, rng: np.random.Generator, m: int) -> np.ndarray:
         return np.full(m, (self.S + 1) ** self.d - 1, dtype=np.int64)

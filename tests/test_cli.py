@@ -27,7 +27,7 @@ from thetaleap.cli import (
 from thetaleap.engine import CHUNK_SIZE, SolverConfig, substream
 from thetaleap.errors import ConfigError
 from thetaleap.masked import random_target_table
-from thetaleap.metrics import ConvergenceFit
+from thetaleap.metrics import ConvergenceFit, noise_floor
 from thetaleap.models import sample_simplex
 
 
@@ -266,6 +266,20 @@ def test_cli_exact_check_small_run(tmp_path):
     assert row.nfe > 0 and row.kl < 20 * 14 / (2 * 20000)
 
 
+def test_cli_masked_uniformization_at_the_noise_floor(tmp_path):
+    # exact thinning up to T - delta and an exact fill: the plug-in KL sits at
+    # the noise floor (the bootstrap interval is not calibrated, so read kl)
+    code, out = _run_cli(
+        tmp_path,
+        "unif.csv",
+        ["masked-converge", "--method", "uniformization", "--steps", "16", "--samples", "50000",
+         "--seed", "1", "--bootstrap", "10"],
+    )
+    assert code == 0
+    row = _read_rows(out)[0]
+    assert row.nfe > 0 and row.kl < 5 * noise_floor(50000, 64)
+
+
 def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("samples=abc\n")
@@ -448,14 +462,15 @@ def test_cli_non_finite_target_file_fails_at_load(tmp_path, monkeypatch, capsys,
 
 
 def test_cli_masked_zero_cells_sample_or_fail_as_model_errors(tmp_path, capsys):
-    # the target (0.5, 0, 0, 0.5) on d=2, S=2: Euler unmasks one position at
-    # a time and never meets a zero-mass context; tau-leaping can unmask both
-    # positions in one update onto the zero cell (1, 0), whose rates are then
-    # undefined
+    # the target (0.5, 0, 0, 0.5) on d=2, S=2: Euler and uniformization
+    # unmask one position per accepted jump and never meet a zero-mass
+    # context; tau-leaping can unmask both positions in one update onto the
+    # zero cell (1, 0), whose rates are then undefined
     table = _write_table(tmp_path / "diag.txt", [0.5, 0.0, 0.0, 0.5], d=2, S=2)
     common = ["masked-converge", "--samples", "20000", "--bootstrap", "10", "--target-file", table,
               "--out", str(tmp_path / "x.csv")]
     assert main(common + ["--method", "euler", "--steps", "16", "--delta", "0.5"]) == 0
+    assert main(common + ["--method", "uniformization", "--steps", "4"]) == 0
     capsys.readouterr()
     assert main(common + ["--method", "tau-leaping", "--steps", "4"]) == 4
     assert "zero mass" in capsys.readouterr().err
@@ -609,6 +624,40 @@ def test_cli_output_bytes_are_pinned(tmp_path, name):
     cells = [line.split(",") for line in out.read_text().splitlines()]
     text = "".join(",".join(c[:wall] + c[wall + 1 :]) + "\n" for c in cells)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The same four seed-0 sweeps pinned by what the reproducibility contract is
+# about: each cell's int64 histogram and its integer StepTelemetry counters,
+# in cell order.  Unlike the CSV's float text, these do not depend on which
+# SIMD kernels numpy dispatches.
+PINNED_HISTOGRAMS = {
+    "toy": "562f769a8fe18ac1191fe38cbfe5476153d8dc068f4cdd40e7c584eb3c2c9fd4",
+    "masked": "a7f882246df89b0e66b8b2062220992e22eec07dae0732b706048c32d38630ff",
+    "exact-check": "021d10fdbd90b5a082b85d34127334df3858d3b3c7aee63cf958720d43873e09",
+    "two-chunk": "ae5eb75ffebff78026a6715b6fef8ead99fccb266db17252198239a0998b45f7",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_HISTOGRAMS))
+def test_cli_histograms_are_pinned(tmp_path, monkeypatch, name):
+    digest = hashlib.sha256()
+    run_sampler, histogram = cli.run_sampler, cli.empirical_distribution
+
+    def recorded_run(*args, **kwargs):
+        samples, tel, nfe = run_sampler(*args, **kwargs)
+        digest.update(np.array([getattr(tel, f.name) for f in fields(tel)], dtype=np.int64).tobytes())
+        return samples, tel, nfe
+
+    def recorded_histogram(*args):
+        counts = histogram(*args)
+        digest.update(counts.astype(np.int64).tobytes())
+        return counts
+
+    monkeypatch.setattr(cli, "run_sampler", recorded_run)
+    monkeypatch.setattr(cli, "empirical_distribution", recorded_histogram)
+    argv, _ = PINNED_OUTPUTS[name]
+    assert main(argv + ["--seed", "0", "--out", str(tmp_path / "out.csv")]) == 0
+    assert digest.hexdigest() == PINNED_HISTOGRAMS[name]
 
 
 # Seed-0 JSON text pinned byte for byte, each wall_ms value masked: the rows

@@ -130,6 +130,17 @@ def test_masked_batch_rates_match_scalar():
         assert np.abs(batch[i] - want.ravel()).max() < 1e-10
 
 
+def test_masked_batch_rates_vector_times():
+    table = random_target_table(3, 4, np.random.default_rng(3))
+    model = MaskedToyModel(table)
+    labels = np.array([masked_label(x, 4) for x in ([4, 4, 4], [0, 4, 2], [1, 4, 3])])
+    s_vec = np.array([0.1, 0.5, 0.9])
+    batch = model.rates_batch(s_vec, labels)
+    for i, (s, y) in enumerate(zip(s_vec, labels)):
+        single = model.rates_batch(float(s), np.array([y], dtype=np.int64))[0]
+        assert np.abs(batch[i] - single).max() < 1e-14
+
+
 def test_masked_q0_is_all_mask():
     # one label per trajectory, every position MASK (= S)
     for d, S in ((2, 3), (1, 127), (1, 128), (1, 200)):
@@ -186,11 +197,26 @@ def test_masked_encode_rejects_mask():
     assert model.encode(np.array([masked_label([2, 1], 3)])).tolist() == [2 * 3 + 1]
 
 
-def test_masked_uniformization_unsupported():
-    table = random_target_table(2, 3, np.random.default_rng(7))
-    model = MaskedToyModel(table)
-    with pytest.raises(ConfigError):
-        model.total_bound(0.0, 0.5)
+def test_masked_total_bound_dominates():
+    # the total rate out of a label is (#masked) coef(s): at most d coef(s_hi)
+    # on a piece, and exactly that with every position masked at s_hi.  The
+    # pieces split each window of a 4-window grid in 16, as the engine's
+    # envelope does, and every label of this dense table has positive mass
+    model = MaskedToyModel(random_target_table(3, 4, np.random.default_rng(7)))
+    labels = np.arange(5**3)
+    points = TimeGrid(1.0, 1e-3, 4, 0.5).points
+    edges = points[:-1, None] + np.diff(points)[:, None] * np.linspace(0.0, 1.0, 17)
+    s_lo, s_hi = edges[:, :-1], edges[:, 1:]
+    bounds = model.total_bound(s_lo, s_hi)
+    assert bounds.shape == s_lo.shape
+    want = [model.total_bound(lo, hi) for lo, hi in zip(s_lo.ravel(), s_hi.ravel())]
+    assert np.array_equal(bounds.ravel(), want)
+    s = np.random.default_rng(0).uniform(s_lo, s_hi)
+    worst = [model.rates_batch(t, labels).sum(axis=1).max() for t in s.ravel()]
+    assert np.all(np.array(worst) <= bounds.ravel() * (1 + 1e-12))
+    all_mask = model.sample_q0_batch(None, 1)
+    at_hi = np.array([model.rates_batch(t, all_mask).sum() for t in s_hi.ravel()])
+    assert np.all(np.abs(at_hi - bounds.ravel()) <= 1e-12 * bounds.ravel())
 
 
 def test_masked_reverse_consistency_medium_scale():
