@@ -30,7 +30,6 @@ from .masked import TargetTable, load_target_table, random_target_table
 from .metrics import bootstrap_kl_ci, empirical_distribution, fit_loglog_slope, noise_floor
 from .models import MaskedToyModel, ToyUniformModel, sample_simplex
 
-WORKERS_ENV = "THETALEAP_WORKERS"
 TOY_STATES = 15
 MASKED_DIMS = 3
 MASKED_VOCAB = 4
@@ -41,6 +40,8 @@ MAX_BOOTSTRAP = 10**5
 # Most worker processes a sweep may ask for: a pool forks one per chunk up to
 # --workers, and 10^8 samples make 6,104 chunks.
 MAX_WORKERS = 256
+# Level of every bootstrap KL interval the studies report.
+CI_LEVEL = 0.95
 
 # stream-purpose tags local to the CLI (solver tags live in engine)
 TAG_BOOT = 101
@@ -68,10 +69,10 @@ CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 
 def _setting(cast, help: str, *, listed: bool = False, default=MISSING):
-    """Declare one study setting: a config field, a --flag and a --config key of one name.
+    """Declare one study setting: a config field and the --flag of the same name.
 
-    ``cast`` turns one command-line or file string into the value; a ``listed``
-    setting takes a comma list of such strings.
+    ``cast`` turns one flag string into the value; a ``listed`` setting takes a
+    comma list of such strings.
     """
     return field(default=default, metadata={"cast": cast, "listed": listed, "help": help})
 
@@ -90,9 +91,8 @@ class ExperimentConfig:
     target_file: str | None = _setting(str, "target table file (see README)", default=None)
     out: str = _setting(str, "output path, '-' for stdout", default="-")
     format: str = _setting(str, "csv or json", default="csv")
-    workers: int = _setting(int, f"worker processes (default ${WORKERS_ENV} or 1)", default=1)
+    workers: int = _setting(int, "worker processes", default=1)
     bootstrap: int = _setting(int, "bootstrap resample count", default=1000)
-    ci_level: float = _setting(float, "bootstrap confidence level", default=0.95)
     min_fit_steps: int = _setting(int, "smallest step count in the order fit", default=16)
     p0_seed: int | None = _setting(int, "seed of the random target (default: --seed)", default=None)
 
@@ -107,8 +107,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} list repeats a value: {values}")
         if not (1 <= self.samples <= MAX_SAMPLES):
             raise ConfigError(f"need 1 <= samples <= {MAX_SAMPLES}, got {self.samples}")
-        if not (0.0 < self.ci_level < 1.0):
-            raise ConfigError(f"ci level must lie in (0, 1), got {self.ci_level}")
         if not (1 <= self.workers <= MAX_WORKERS):
             raise ConfigError(f"need 1 <= workers <= {MAX_WORKERS}, got {self.workers}")
         if not (2 <= self.bootstrap <= MAX_BOOTSTRAP):
@@ -230,7 +228,7 @@ def _sweep(config: ExperimentConfig, model, target: TargetTable):
                 counts,
                 p0,
                 n_resamples=config.bootstrap,
-                level=config.ci_level,
+                level=CI_LEVEL,
                 rng=substream(config.seed, TAG_BOOT, cell),
             )
             wall_ms = (time.monotonic() - t0) * 1e3
@@ -312,31 +310,8 @@ COMMANDS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat key=value overrides; later CLI flags win over file values."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
-    out = {}
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected key=value lines in {path}, got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _cast(key: str, value):
-    """Turn a flag, file or environment string into the setting's value."""
-    if key not in _SETTINGS:
-        raise ConfigError(f"unknown configuration key {key!r}")
-    if not isinstance(value, str):
-        return value
+def _cast(key: str, value: str):
+    """Turn a flag string into the setting's value."""
     cast, listed = _SETTINGS[key]["cast"], _SETTINGS[key]["listed"]
     try:
         return [cast(v) for v in value.split(",") if v != ""] if listed else cast(value)
@@ -345,16 +320,9 @@ def _cast(key: str, value):
 
 
 def build_config(command: str, flag_values: dict) -> ExperimentConfig:
-    """Merge subcommand defaults, $THETALEAP_WORKERS, config-file values and explicit flags."""
-    flags = {k: v for k, v in flag_values.items() if v is not None}
-    sources = [DEFAULTS[command]]
-    if WORKERS_ENV in os.environ:
-        sources.append({"workers": os.environ[WORKERS_ENV]})
-    if "config" in flags:
-        sources.append(_read_config_file(flags.pop("config")))
-    sources.append(flags)
-    values = {key: _cast(key, value) for src in sources for key, value in src.items()}
-    return ExperimentConfig(**values)
+    """The subcommand's defaults, overridden by each flag that was given."""
+    flags = {key: _cast(key, value) for key, value in flag_values.items() if value is not None}
+    return ExperimentConfig(**{**DEFAULTS[command], **flags})
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -364,7 +332,6 @@ def _make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key=value config file; flags win")
         for key, meta in _SETTINGS.items():
             p.add_argument("--" + key.replace("_", "-"), help=meta["help"])
     return parser

@@ -30,8 +30,8 @@ class ToyUniformModel:
     """
 
     def __init__(self, p0: TargetTable, horizon: float = 12.0):
-        if horizon <= 0:
-            raise ConfigError(f"horizon must be positive, got {horizon}")
+        if not (0.0 < horizon < np.inf):
+            raise ConfigError(f"need 0 < horizon < inf, got {horizon}")
         if p0.d != 1:
             raise ConfigError(f"the toy needs a d = 1 target table, got d = {p0.d}")
         self.p0 = p0
@@ -61,7 +61,7 @@ class ToyUniformModel:
         """
         p_floor = self.marginal(s_hi).min(axis=-1)
         if np.any(p_floor <= 0.0):
-            raise ConfigError(
+            raise SingularScoreError(
                 "target has a zero-mass state; run with an early stop delta > 0"
             )
         return (1.0 - p_floor) / (self.S * p_floor)

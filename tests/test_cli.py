@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -128,21 +129,13 @@ def test_build_config_defaults_match_study_parameters():
     assert cfg.steps == [4, 8, 16, 32, 64, 128]
     assert cfg.horizon == 12.0 and cfg.delta == 0.0
     assert cfg.theta == [0.5]
-    assert cfg.bootstrap == 1000 and cfg.ci_level == 0.95
+    assert cfg.bootstrap == 1000
     masked = build_config("masked-converge", {})
     assert masked.delta == 1e-3 and masked.horizon == 1.0
     assert masked.samples == 2 * 10**5
 
 
-def test_build_config_flag_and_file_precedence(tmp_path):
-    conf = tmp_path / "run.conf"
-    conf.write_text("samples=500\nsteps=2,4\ntheta=0.25\n# comment\nseed=9\n")
-    cfg = build_config("toy-converge", {"config": str(conf), "samples": 700})
-    assert cfg.samples == 700  # flag wins over file
-    assert cfg.steps == [2, 4] and cfg.theta == [0.25] and cfg.seed == 9
-
-
-def test_build_config_rejects_bad_values(tmp_path, monkeypatch):
+def test_build_config_rejects_bad_values():
     bad = [
         {"steps": "8,4"},
         {"samples": "0"},
@@ -160,16 +153,9 @@ def test_build_config_rejects_bad_values(tmp_path, monkeypatch):
     for flags in bad:
         with pytest.raises(ConfigError):
             build_config("toy-converge", flags)
-    conf = tmp_path / "run.conf"
-    conf.write_text("samples=abc\n")
-    with pytest.raises(ConfigError):
-        build_config("toy-converge", {"config": str(conf)})
-    monkeypatch.setenv("THETALEAP_WORKERS", "abc")
-    with pytest.raises(ConfigError):
-        build_config("toy-converge", {})
 
 
-def test_every_setting_reads_the_same_by_flag_and_by_config_file(tmp_path, monkeypatch):
+def test_every_setting_has_a_flag(tmp_path, monkeypatch):
     values = {
         "method": "tau-leaping,theta-rk2",
         "theta": "0.25,0.5",
@@ -183,7 +169,6 @@ def test_every_setting_reads_the_same_by_flag_and_by_config_file(tmp_path, monke
         "format": "json",
         "workers": "2",
         "bootstrap": "50",
-        "ci_level": "0.9",
         "min_fit_steps": "4",
         "p0_seed": "5",
     }
@@ -191,21 +176,28 @@ def test_every_setting_reads_the_same_by_flag_and_by_config_file(tmp_path, monke
     seen = []
     monkeypatch.setitem(COMMANDS, "toy-converge", lambda config: seen.append(config) or ([], []))
     argv = ["toy-converge"]
-    lines = []
-    for i, (key, value) in enumerate(values.items()):
+    for key, value in values.items():
         argv += ["--" + key.replace("_", "-"), value]
-        # file keys may be spelled with '-' or '_'
-        lines.append(f"{key.replace('_', '-') if i % 2 else key}={value}\n")
     assert main(argv) == 0
-    conf = tmp_path / "run.conf"
-    conf.write_text("".join(lines))
-    assert main(["toy-converge", "--config", str(conf)]) == 0
-    by_flag, by_file = seen
-    assert by_flag == by_file
+    (by_flag,) = seen
     assert by_flag.theta == [0.25, 0.5] and by_flag.steps == [2, 4] and by_flag.p0_seed == 5
-    conf.write_text("bogus=1\n")
-    assert main(["toy-converge", "--config", str(conf)]) == 2
-    assert len(seen) == 2
+
+
+def test_readme_cli_section_names_every_flag():
+    # the README's CLI section is where a user learns the flags: it names exactly those the parsers take
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    parser = cli._make_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {
+        flag
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+    }
+    assert named == accepted - {"--help"}
 
 
 def _run_cli(tmp_path, name, extra):
@@ -280,9 +272,7 @@ def test_cli_masked_uniformization_at_the_noise_floor(tmp_path):
     assert row.nfe > 0 and row.kl < 5 * noise_floor(50000, 64)
 
 
-def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
-    conf = tmp_path / "run.conf"
-    conf.write_text("samples=abc\n")
+def test_cli_exit_code_config_error(tmp_path, capsys):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("# d=1 S=15 \xe9t\xe9\n".encode("latin-1"))
     for argv in (
@@ -294,8 +284,6 @@ def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
         ["--p0-seed", "-1"],
         ["--method", ","],
         ["--theta", ","],
-        ["--config", str(conf)],
-        ["--config", str(latin1)],
         ["--target-file", str(latin1)],
         # sizes whose arrays would not fit in memory
         ["--samples", str(cli.MAX_SAMPLES + 1)],
@@ -310,8 +298,6 @@ def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
         ["--workers", str(cli.MAX_WORKERS + 1), "--samples", "1000"],
     ):
         assert main(["toy-converge"] + argv) == 2
-    monkeypatch.setenv("THETALEAP_WORKERS", "abc")
-    assert main(["toy-converge"]) == 2
     assert all(ln.startswith("error: ") for ln in capsys.readouterr().err.splitlines())
 
 
@@ -477,18 +463,17 @@ def test_cli_masked_zero_cells_sample_or_fail_as_model_errors(tmp_path, capsys):
 
 
 def test_cli_zero_mass_target_is_a_model_error(tmp_path):
-    # theta = 1 with no early stop evaluates the score at the target itself,
-    # where a zero-mass state has none: exit 4, not a raw traceback
+    # with no early stop, theta = 1 evaluates the score at the target itself,
+    # and uniformization bounds the rate up to it; a zero-mass state has no
+    # score there: exit 4, not a raw traceback
     p = np.full(15, 1 / 14)
     p[0] = 0.0
     table = _write_table(tmp_path / "p0.txt", p, d=1, S=15)
+    common = ["toy-converge", "--samples", "1000", "--steps", "4", "--delta", "0", "--bootstrap", "10",
+              "--target-file", table, "--out", str(tmp_path / "x.csv")]
     with pytest.warns(UserWarning):
-        code = main(
-            ["toy-converge", "--samples", "1000", "--steps", "4", "--method", "theta-rk2",
-             "--theta", "1", "--delta", "0", "--bootstrap", "10", "--target-file", table,
-             "--out", str(tmp_path / "x.csv")]
-        )
-    assert code == 4
+        assert main(common + ["--method", "theta-rk2", "--theta", "1"]) == 4
+    assert main(common + ["--method", "uniformization"]) == 4
 
 
 def test_cli_zero_mass_target_error_on_a_pool(tmp_path, capsys):
@@ -549,13 +534,6 @@ def test_package_and_cli_import_numpy_but_not_scipy():
     )
     done = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["[]", "[]"]
-
-
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("THETALEAP_WORKERS", "3")
-    assert build_config("toy-converge", {}).workers == 3
-    monkeypatch.setenv("THETALEAP_WORKERS", "1")
-    assert build_config("toy-converge", {}).workers == 1
 
 
 def test_exact_check_nfe_grows_as_delta_shrinks(tmp_path):

@@ -136,6 +136,10 @@ def test_closed_marginal_rejects_negative_time():
     # nor the grid reaches past the horizon
     with pytest.raises(ConfigError):
         _toy([1.0, 0.0], horizon=-0.1)
+    # a NaN or infinite horizon fails as TimeGrid's does, not at the first rate call
+    for horizon in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            _toy([1.0, 0.0], horizon=horizon)
     with pytest.raises(ConfigError):
         TimeGrid(1.0, -0.1, 4, 0.5)
 
