@@ -25,7 +25,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 import numpy as np
 
 from .engine import ChunkPool, SolverConfig, TimeGrid, run_sampler, substream
-from .errors import ConfigError, DataError, ThetaLeapError
+from .errors import ConfigError, ThetaLeapError
 from .masked import TargetTable, load_target_table, random_target_table
 from .metrics import bootstrap_kl_ci, empirical_distribution, fit_loglog_slope, noise_floor
 from .models import MaskedToyModel, ToyUniformModel, sample_simplex
@@ -280,7 +280,7 @@ def _fit_rows(config: ExperimentConfig, rows, n_states: int):
             ]
             try:
                 fit = fit_loglog_slope(pts, min_steps=config.min_fit_steps)
-            except (ConfigError, DataError):
+            except ConfigError:
                 _info(f"# fit {method} theta={theta}: too few points in the asymptotic window")
                 continue
             fits.append(((method, theta), fit))
@@ -345,7 +345,7 @@ def main(argv=None) -> int:
         _check_writable(config.out)
         rows, fits = COMMANDS[args.command](config)
         emit_results(rows, config.out, config.format, fits=fits)
-    except (ConfigError, DataError) as exc:
+    except ConfigError as exc:
         _info(f"error: {exc}")
         return 2
     except OSError as exc:

@@ -68,7 +68,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BoundViolationError, ConfigError, NumericalError, StepSizeError, ThetaLeapError
+from .errors import ConfigError, NumericalError, ThetaLeapError
 
 METHODS = ("euler", "tau-leaping", "uniformization", "theta-rk2", "theta-trapezoidal")
 
@@ -218,10 +218,10 @@ def _leap_batch(model, states, lam, rng, tel: StepTelemetry):
     m = states.shape[0]
     try:
         counts = rng.poisson(lam)
-    except ValueError as exc:  # lam < 0, NaN or too large
-        raise NumericalError(
-            f"negative or NaN rate reached the Poisson draw; clamping failed upstream ({exc})"
-        ) from exc
+    except ValueError as exc:  # numpy calls a NaN mean "too large", so lam names the cause
+        if np.all(lam >= 0.0):
+            raise NumericalError(f"Poisson mean {lam.max():.6g} is above numpy's limit") from exc
+        raise NumericalError("negative or NaN Poisson mean; clamping failed upstream") from exc
     # spent: stage 1's means are a temporary that only this frame holds, and
     # freeing them before the bookkeeping lowers the two-stage step's peak
     del lam
@@ -273,7 +273,7 @@ def _euler_batch(model, states, probs, rng, tel: StepTelemetry):
     totals = probs.sum(axis=1)
     worst = totals.max() if m else 0.0
     if worst >= 1.0:
-        raise StepSizeError(
+        raise NumericalError(
             f"total transition probability {worst:.6g} >= 1; reduce the step size"
         )
     tel.attempted_updates += m
@@ -377,7 +377,7 @@ def _uniformize_chunk(config: SolverConfig, model, states, rng, tel: StepTelemet
             over = totals > bound * (1.0 + BOUND_RTOL)
             if over.any():
                 i = np.argmax(over)
-                raise BoundViolationError(
+                raise NumericalError(
                     f"total intensity {totals[i]:.6g} exceeds declared bound {bound[i]:.6g} "
                     f"on piece ({edges[piece[i]]:.6g}, {edges[piece[i] + 1]:.6g}]"
                 )

@@ -1,7 +1,6 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, one per CLI exit code.
 
-Exit-code mapping used by the CLI: config problems -> 2, I/O -> 3,
-numerical/model failures -> 4.
+ConfigError exits 2 and NumericalError exits 4; the CLI maps OSError to 3.
 """
 
 
@@ -10,28 +9,8 @@ class ThetaLeapError(Exception):
 
 
 class ConfigError(ThetaLeapError):
-    """Invalid configuration or precondition violation."""
-
-
-class DataError(ThetaLeapError):
-    """Malformed or out-of-range input data."""
+    """Bad flags, settings or input data (exit 2)."""
 
 
 class NumericalError(ThetaLeapError):
-    """Numerical failure (non-convergence, invalid intermediate value)."""
-
-
-class SingularScoreError(NumericalError):
-    """Score requested at a state with zero marginal mass."""
-
-
-class StepSizeError(NumericalError):
-    """Linearized transition probabilities exceed 1; the step is too large."""
-
-
-class BoundViolationError(NumericalError):
-    """Observed total intensity exceeded the declared dominating bound."""
-
-
-class UnreachableContextError(NumericalError):
-    """Conditioning context has zero marginal mass under the target."""
+    """A numerical or model failure (exit 4)."""

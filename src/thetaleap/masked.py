@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UnreachableContextError
+from .errors import ConfigError, NumericalError
 
 TABLE_LOAD_ATOL = 1e-9
 TABLE_SUM_ATOL = 1e-12
@@ -65,17 +65,17 @@ class TargetTable:
         p = np.array(self.probs, dtype=float)
         p.flags.writeable = False
         if p.ndim < 1:
-            raise DataError("target table must have at least one axis")
+            raise ConfigError("target table must have at least one axis")
         if p.size > MAX_TABLE_CELLS:
-            raise DataError(f"target table has {p.size} cells, above the {MAX_TABLE_CELLS} cap")
+            raise ConfigError(f"target table has {p.size} cells, above the {MAX_TABLE_CELLS} cap")
         if len(set(p.shape)) != 1:
-            raise DataError("target table must have the same number of sites per dimension")
+            raise ConfigError("target table must have the same number of sites per dimension")
         if not np.all(np.isfinite(p)):
-            raise DataError("target table has NaN or infinite entries")
+            raise ConfigError("target table has NaN or infinite entries")
         if np.any(p < 0):
-            raise DataError("target table has negative entries")
+            raise ConfigError("target table has negative entries")
         if abs(p.sum() - 1.0) > TABLE_SUM_ATOL:
-            raise DataError(f"target table mass {p.sum()!r} is outside tolerance {TABLE_SUM_ATOL}")
+            raise ConfigError(f"target table mass {p.sum()!r} is outside tolerance {TABLE_SUM_ATOL}")
         object.__setattr__(self, "probs", p)
 
     @property
@@ -101,13 +101,13 @@ def _parse_field(cast, text: str, line: str):
     try:
         return cast(text)
     except ValueError:
-        raise DataError(f"malformed target-table line {line!r}") from None
+        raise ConfigError(f"malformed target-table line {line!r}") from None
 
 
 def load_target_table(path, d: int | None = None, S: int | None = None) -> TargetTable:
     """Read an index/probability table; renormalizes small drift, rejects large.
 
-    A caller that fixes ``d`` and ``S`` gets a :class:`DataError` when the
+    A caller that fixes ``d`` and ``S`` gets a :class:`ConfigError` when the
     file's ``# d=.. S=..`` header names another shape.
     """
     header = {}
@@ -125,34 +125,34 @@ def load_target_table(path, d: int | None = None, S: int | None = None) -> Targe
                     continue
                 fields = line.split()
                 if len(fields) != 2:
-                    raise DataError(f"expected 'index probability' rows, got {line!r}")
+                    raise ConfigError(f"expected 'index probability' rows, got {line!r}")
                 idx = _parse_field(int, fields[0], line)
                 if idx in entries:
-                    raise DataError(f"index {idx} appears more than once in the target table")
+                    raise ConfigError(f"index {idx} appears more than once in the target table")
                 entries[idx] = _parse_field(float, fields[1], line)
     except UnicodeDecodeError as exc:
-        raise DataError(f"target file {path} is not UTF-8 text: {exc}") from None
+        raise ConfigError(f"target file {path} is not UTF-8 text: {exc}") from None
     file_d, file_S = header.get("d", d), header.get("S", S)
     if (d is not None and file_d != d) or (S is not None and file_S != S):
-        raise DataError(f"target file has shape d={file_d} S={file_S}, but this study needs d={d} S={S}")
+        raise ConfigError(f"target file has shape d={file_d} S={file_S}, but this study needs d={d} S={S}")
     d, S = file_d, file_S
     if d is None or S is None:
-        raise DataError("table dimensions unknown; provide d and S or a '# d=.. S=..' header")
+        raise ConfigError("table dimensions unknown; provide d and S or a '# d=.. S=..' header")
     # past log2(cap) dimensions any S >= 2 overflows the cap, so S**d stays cheap
     max_d = MAX_TABLE_CELLS.bit_length()
     if not (1 <= d <= max_d and S >= 1 and S**d <= MAX_TABLE_CELLS):
-        raise DataError(
+        raise ConfigError(
             f"table shape d={d} S={S} is out of range: need 1 <= d <= {max_d}, S >= 1 "
             f"and S**d <= {MAX_TABLE_CELLS} cells"
         )
     flat = np.zeros(S**d)
     for idx, p in entries.items():
         if not (0 <= idx < flat.size):
-            raise DataError(f"index {idx} outside table of size {flat.size}")
+            raise ConfigError(f"index {idx} outside table of size {flat.size}")
         flat[idx] = p
     total = flat.sum()
     if abs(total - 1.0) > TABLE_LOAD_ATOL:
-        raise DataError(f"table mass {total!r} deviates from 1 by more than {TABLE_LOAD_ATOL}")
+        raise ConfigError(f"table mass {total!r} deviates from 1 by more than {TABLE_LOAD_ATOL}")
     return TargetTable((flat / total).reshape((S,) * d))
 
 
@@ -182,13 +182,13 @@ class ConditionalOracle:
         ctx = np.asarray(contexts)
         d, S = self.table.d, self.table.S
         if ctx.ndim != 2 or ctx.shape[1] != d or not np.issubdtype(ctx.dtype, np.integer):
-            raise DataError(f"contexts must be a (k, {d}) integer array, got shape {ctx.shape}")
+            raise ConfigError(f"contexts must be a (k, {d}) integer array, got shape {ctx.shape}")
         if np.any(ctx < 0) or np.any(ctx > S):
-            raise DataError(f"tokens must lie in [0, {S}] (MASK = {S})")
+            raise ConfigError(f"tokens must lie in [0, {S}] (MASK = {S})")
         mass = self.mass[tuple(ctx.T)]
         if not np.all(mass > 0.0):
             bad = ctx[np.argmin(mass > 0.0)]
-            raise UnreachableContextError(f"observed context {tuple(int(t) for t in bad)} has zero mass")
+            raise NumericalError(f"observed context {tuple(int(t) for t in bad)} has zero mass")
         values = np.arange(S)
         out = np.empty((ctx.shape[0], d, S))
         for l in range(d):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, NumericalError
 
 # How far from 1 the mass of a law given to kl_divergence may be: rounding
 # only, so a histogram passed where its frequencies belong is caught.
@@ -23,7 +23,7 @@ LAW_SUM_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class KLReport:
-    """Plug-in KL estimate with a percentile bootstrap interval."""
+    """Plug-in KL estimate with a basic bootstrap interval."""
 
     estimate: float
     ci_lo: float
@@ -51,9 +51,9 @@ def empirical_distribution(samples: np.ndarray, n_states: int) -> np.ndarray:
     """Exact int64 counts of integer samples over [0, n_states)."""
     samples = np.asarray(samples)
     if samples.size == 0:
-        raise DataError("need at least one sample")
+        raise ConfigError("need at least one sample")
     if np.any(samples < 0) or np.any(samples >= n_states):
-        raise DataError(f"samples must lie in [0, {n_states})")
+        raise ConfigError(f"samples must lie in [0, {n_states})")
     return np.bincount(samples, minlength=n_states)
 
 
@@ -67,11 +67,11 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
     pv = np.asarray(p, dtype=float)
     qv = np.asarray(q, dtype=float)
     if pv.ndim != 1 or qv.shape[-1:] != pv.shape:
-        raise DataError(f"shape mismatch: {pv.shape} vs {qv.shape}")
+        raise ConfigError(f"shape mismatch: {pv.shape} vs {qv.shape}")
     for name, law in (("p", pv), ("q", qv)):
         off = np.abs(law.sum(axis=-1) - 1.0)
         if np.any(off > LAW_SUM_ATOL):
-            raise DataError(f"{name} is not a law: its mass is off 1 by {off.max():.6g}")
+            raise ConfigError(f"{name} is not a law: its mass is off 1 by {off.max():.6g}")
     support = pv > 0.0
     pv = pv[support]
     with np.errstate(divide="ignore"):
@@ -89,13 +89,15 @@ def noise_floor(n_samples: int, support: int) -> float:
 def bootstrap_kl_ci(
     counts: np.ndarray, p0: np.ndarray, n_resamples: int, level: float, rng: np.random.Generator
 ) -> KLReport:
-    """Percentile bootstrap interval for the plug-in KL(p0 || counts / M).
+    """Basic bootstrap interval for the plug-in KL(p0 || counts / M).
 
     ``counts`` is a histogram from :func:`empirical_distribution`.
     Resampling M draws with replacement is done as one multinomial draw over
     the observed frequencies per resample, and the resample KLs are taken by
     one :func:`kl_divergence` call over those draws.  Infinite resample KLs
-    are counted and excluded from the percentile computation.
+    are counted and left out of the quantiles ``lo`` and ``hi``.  The interval
+    [2k - hi, 2k - lo], each end clamped at 0, reflects them about the estimate
+    k, which takes off the plug-in bias that resampling adds once more.
     """
     if n_resamples < 2:
         raise ConfigError(f"need at least 2 resamples, got {n_resamples}")
@@ -103,7 +105,7 @@ def bootstrap_kl_ci(
         raise ConfigError(f"level must lie in (0, 1), got {level}")
     m = int(counts.sum())
     if m < 1:
-        raise DataError("the histogram holds no samples")
+        raise ConfigError("the histogram holds no samples")
     freqs = counts / m
     estimate = kl_divergence(p0, freqs)
     # one resample missing a support cell reads inf
@@ -114,16 +116,17 @@ def bootstrap_kl_ci(
         return KLReport(estimate, math.inf, math.inf, n_resamples, m, n_inf)
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(kls[finite], [tail, 1.0 - tail])
-    # percentile intervals should bracket the plug-in estimate up to
-    # resampling noise: one resample standard error plus the (support-1)/(2M)
-    # first-order bias that resampling re-adds on top of the estimate
+    # the quantiles, and so their reflection, should bracket the plug-in
+    # estimate up to resampling noise: one resample standard error plus the
+    # (support-1)/(2M) first-order bias that resampling re-adds on top of it
     slack = float(kls[finite].std()) + noise_floor(m, p0.size)
     if math.isfinite(estimate) and not (lo - slack <= estimate <= hi + slack):
         raise NumericalError(
-            f"bootstrap interval [{lo:.6g}, {hi:.6g}] does not bracket the "
+            f"bootstrap quantiles [{lo:.6g}, {hi:.6g}] do not bracket the "
             f"estimate {estimate:.6g} within the resampling slack {slack:.3g}"
         )
-    return KLReport(estimate, float(lo), float(hi), n_resamples, m, n_inf)
+    ci_lo, ci_hi = (max(0.0, float(2.0 * estimate - end)) for end in (hi, lo))
+    return KLReport(estimate, ci_lo, ci_hi, n_resamples, m, n_inf)
 
 
 def fit_loglog_slope(points, min_steps: int | None = None) -> ConvergenceFit:
@@ -134,7 +137,7 @@ def fit_loglog_slope(points, min_steps: int | None = None) -> ConvergenceFit:
     """
     kept = [(n, kl) for n, kl in points if min_steps is None or n >= min_steps]
     if len(kept) < 2:
-        raise DataError(f"need at least 2 points to fit, got {len(kept)}")
+        raise ConfigError(f"need at least 2 points to fit, got {len(kept)}")
     n_arr = np.array([n for n, _ in kept], dtype=float)
     kl_arr = np.array([kl for _, kl in kept], dtype=float)
     if np.any(kl_arr <= 0.0) or not np.all(np.isfinite(kl_arr)):

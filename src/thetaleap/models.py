@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import categorical
-from .errors import ConfigError, SingularScoreError
+from .errors import ConfigError, NumericalError
 from .masked import ConditionalOracle, NoiseSchedule, TargetTable, random_target_table
 
 
@@ -61,7 +61,7 @@ class ToyUniformModel:
         """
         p_floor = self.marginal(s_hi).min(axis=-1)
         if np.any(p_floor <= 0.0):
-            raise SingularScoreError(
+            raise NumericalError(
                 "target has a zero-mass state; run with an early stop delta > 0"
             )
         return (1.0 - p_floor) / (self.S * p_floor)
@@ -73,7 +73,7 @@ class ToyUniformModel:
         if np.ndim(s) == 0:
             pt = self.marginal(s)
             if not pt.min() > 0.0:
-                raise SingularScoreError(
+                raise NumericalError(
                     f"marginal at reverse time {float(s):.6g} has a zero-mass state; "
                     "the score is undefined there (use an early stop delta > 0)"
                 )
@@ -138,7 +138,7 @@ class MaskedToyModel:
         """
         t = self.horizon - np.asarray(s, dtype=float)
         if np.any(t <= 0.0):
-            raise SingularScoreError(
+            raise NumericalError(
                 "unmask rate diverges at t = 0; simulate with an early stop delta > 0"
             )
         sb = self.schedule.sigma_bar(t)

@@ -26,7 +26,7 @@ from thetaleap.cli import (
     main,
 )
 from thetaleap.engine import CHUNK_SIZE, SolverConfig, substream
-from thetaleap.errors import ConfigError
+from thetaleap.errors import ConfigError, NumericalError, ThetaLeapError
 from thetaleap.masked import random_target_table
 from thetaleap.metrics import ConvergenceFit, noise_floor
 from thetaleap.models import sample_simplex
@@ -260,7 +260,7 @@ def test_cli_exact_check_small_run(tmp_path):
 
 def test_cli_masked_uniformization_at_the_noise_floor(tmp_path):
     # exact thinning up to T - delta and an exact fill: the plug-in KL sits at
-    # the noise floor (the bootstrap interval is not calibrated, so read kl)
+    # the noise floor (ten resamples make a crude interval, so read kl)
     code, out = _run_cli(
         tmp_path,
         "unif.csv",
@@ -299,6 +299,18 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     ):
         assert main(["toy-converge"] + argv) == 2
     assert all(ln.startswith("error: ") for ln in capsys.readouterr().err.splitlines())
+
+
+@pytest.mark.parametrize("error, code", [(ConfigError, 2), (NumericalError, 4)])
+def test_one_exception_class_per_exit_code(tmp_path, monkeypatch, capsys, error, code):
+    assert set(ThetaLeapError.__subclasses__()) == {ConfigError, NumericalError}
+
+    def failing_command(config):
+        raise error("raised inside the command")
+
+    monkeypatch.setitem(COMMANDS, "toy-converge", failing_command)
+    assert main(["toy-converge", "--out", str(tmp_path / "x.csv")]) == code
+    assert "raised inside the command" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -574,21 +586,21 @@ PINNED_OUTPUTS = {
     "toy": (
         ["toy-converge", "--samples", "2000", "--steps", "64,128",
          "--method", "euler,tau-leaping,theta-rk2,theta-trapezoidal", "--bootstrap", "50"],
-        "23ee3839a476bc1a3a16851f442f88ea596ea655d9686c6818fa8b32cbff6558",
+        "157989f0ebdd481804bffe3909c6b8906f353749158df9ce4667b6865b9eb05d",
     ),
     "masked": (
         ["masked-converge", "--samples", "20000", "--steps", "4,8", "--delta", "0.5",
          "--method", "euler,tau-leaping,theta-trapezoidal", "--bootstrap", "50"],
-        "64d4fb8ef0b42b2235992d630136a351e61ee5203edb6dee69a913f7ab93061d",
+        "8e5fd178d518eed9defecf89193925f8c47e7d06864e1e2f90c1e82c82932345",
     ),
     "exact-check": (
         ["exact-check", "--samples", "2000", "--steps", "4", "--bootstrap", "50"],
-        "93a73bca4387f87107b1ad7c614f23fcf556e2a31a8b66efe23f19acde1ecf3b",
+        "f9164e3f42a0e4388e570a80cd38238b0f4e782abbd78192c1971effce353f70",
     ),
     "two-chunk": (
         ["toy-converge", "--samples", str(CHUNK_SIZE + 100), "--steps", "2",
          "--method", "theta-trapezoidal", "--bootstrap", "50"],
-        "2e462b80e1dca48ed8ae942b48a4ef8243c700b985863ac23ca8e6e09ebb035c",
+        "89ad59902fff1d07cda0943c489fc2a3559b21b3d3322df12ad15b9080812645",
     ),
 }
 
@@ -643,7 +655,7 @@ def test_cli_histograms_are_pinned(tmp_path, monkeypatch, name):
 PINNED_JSON = (
     ["toy-converge", "--samples", "2000", "--steps", "4,8,16", "--method", "tau-leaping,theta-trapezoidal",
      "--bootstrap", "50", "--min-fit-steps", "4", "--format", "json"],
-    "77fc1e1365145fa6ec69f96aeb449f8d86d918a951de82f0120cd0c87bdcf172",
+    "0049758180dfcd19dd87febc20f9e810470429229cb36fb136d2a08abb220aca",
 )
 
 

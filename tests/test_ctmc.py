@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from thetaleap.engine import SolverConfig, TimeGrid, run_sampler
-from thetaleap.errors import ConfigError, DataError, SingularScoreError
+from thetaleap.errors import ConfigError, NumericalError
 from thetaleap.masked import TargetTable, load_target_table
 from thetaleap.models import ToyUniformModel
 
@@ -60,22 +60,22 @@ def test_uniform_rate_matrix_columns_sum_to_zero():
 
 
 def test_uniform_rate_matrix_rejects_small_s(tmp_path):
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="target table mass"):
         TargetTable(np.array([]))
     path = tmp_path / "t.txt"
     path.write_text("# d=1 S=0\n")
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="out of range"):
         load_target_table(path)
 
 
 def test_probability_vector_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="target table mass"):
         TargetTable(np.array([0.6, 0.6]))
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="negative entries"):
         TargetTable(np.array([-0.1, 1.1]))
     # NaN fails every comparison, so the sign and mass checks alone let it through
     for bad in ([0.5, np.nan], [np.nan, np.nan], [1.0, np.inf], [np.inf, -np.inf]):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="NaN or infinite"):
             TargetTable(np.array(bad))
 
 
@@ -204,7 +204,7 @@ def test_score_hand_ratios():
 
 
 def test_score_zero_mass_raises():
-    with pytest.raises(SingularScoreError):
+    with pytest.raises(NumericalError, match="zero-mass state"):
         _toy([0.0, 1.0]).rates_batch(1.0, np.array([0]))
 
 
@@ -265,7 +265,7 @@ def test_backward_intensity_infinite_score_raises():
     # trajectories instead of drawing from an infinite rate
     with pytest.warns(UserWarning):
         config = SolverConfig("theta-rk2", TimeGrid(1.0, 0.0, 2, 1.0), seed=0)
-    with pytest.raises(SingularScoreError, match="trajectories"):
+    with pytest.raises(NumericalError, match=r"zero-mass state.*\[trajectories 0\.\.99\]"):
         run_sampler(config, _toy([0.5, 0.5, 0.0]), 100)
 
 

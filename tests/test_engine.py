@@ -18,7 +18,7 @@ from thetaleap.engine import (
     run_sampler,
     substream,
 )
-from thetaleap.errors import ConfigError, StepSizeError
+from thetaleap.errors import ConfigError, NumericalError
 from thetaleap.masked import NoiseSchedule, TargetTable, random_target_table
 from thetaleap.metrics import empirical_distribution, kl_divergence, noise_floor
 from thetaleap.models import MaskedToyModel, ToyUniformModel, sample_simplex
@@ -170,7 +170,7 @@ def test_jump_never_lands_on_a_zero_weight_slot(toy):
 
 def test_euler_batch_step_size_error(toy):
     grid = TimeGrid(HORIZON, 0.0, 2, 0.5)  # dt = 6: probabilities overflow
-    with pytest.raises(StepSizeError):
+    with pytest.raises(NumericalError, match="reduce the step size"):
         run_sampler(SolverConfig("euler", grid, seed=4), toy, 1000)
 
 

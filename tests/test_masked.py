@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from thetaleap.engine import SolverConfig, StepTelemetry, TimeGrid, run_sampler
-from thetaleap.errors import ConfigError, DataError, SingularScoreError, UnreachableContextError
+from thetaleap.errors import ConfigError, NumericalError
 from thetaleap.masked import (
     MAX_TABLE_CELLS,
     ConditionalOracle,
@@ -91,7 +91,7 @@ def test_prefactor_limit_toward_one(model):
 
 
 def test_prefactor_singular_at_zero(model):
-    with pytest.raises(SingularScoreError):
+    with pytest.raises(NumericalError, match="unmask rate diverges at t = 0"):
         model._coef(1.0)  # reverse time s = horizon is forward time t = 0
 
 
@@ -164,8 +164,14 @@ def test_forward_mask_count_is_binomial(sched):
 def test_forward_mask_requires_unmasked_input():
     # a context holds tokens 0..S-1 and MASK (= S), nothing else, one row of d per context
     oracle = ConditionalOracle(random_target_table(3, 4, np.random.default_rng(0)))
-    for contexts in ([[0, 5, 1]], [[-1, 4, 1]], [0, 4, 1], [[0, 4]], [[0.0, 4.0, 1.0]]):
-        with pytest.raises(DataError):
+    for contexts, message in (
+        ([[0, 5, 1]], "tokens must lie"),
+        ([[-1, 4, 1]], "tokens must lie"),
+        ([0, 4, 1], "contexts must be"),
+        ([[0, 4]], "contexts must be"),
+        ([[0.0, 4.0, 1.0]], "contexts must be"),
+    ):
+        with pytest.raises(ConfigError, match=message):
             oracle.conditional_probs(np.array(contexts))
 
 
@@ -173,13 +179,13 @@ def test_forward_mask_requires_unmasked_input():
 
 
 def test_target_table_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="target table mass"):
         TargetTable(np.array([0.5, 0.6]))
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="negative entries"):
         TargetTable(np.array([[0.5, 0.5], [0.2, -0.2]]) / 1.0)
     # NaN fails every comparison, so the sign and mass checks alone let it through
     for bad in ([0.5, np.nan], [[np.nan, 0.5], [0.25, 0.25]], [1.0, np.inf]):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="NaN or infinite"):
             TargetTable(np.array(bad))
 
 
@@ -188,7 +194,7 @@ def test_target_table_load_rejects_a_repeated_index(tmp_path):
     # mistyped index passed the mass check
     path = tmp_path / "t.txt"
     path.write_text("# d=1 S=2\n0 0.5\n0 0.5\n1 0.5\n")
-    with pytest.raises(DataError, match="index 0"):
+    with pytest.raises(ConfigError, match="index 0 appears more than once"):
         load_target_table(path)
 
 
@@ -212,39 +218,39 @@ def test_target_table_load_renormalizes_small_drift(tmp_path):
 def test_target_table_load_rejects_large_drift(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("# d=1 S=2\n0 0.5\n1 0.6\n")
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="deviates from 1"):
         load_target_table(path)
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,message",
     [
-        "# d=1 S=2\nzero 0.5\n1 0.5\n",  # non-integer index
-        "# d=1 S=2\n0 half\n1 0.5\n",  # non-float probability
-        "# d=x S=2\n0 0.5\n1 0.5\n",  # bad header
-        "# d=2 S=-3\n0 1.0\n",  # negative vocabulary
-        "# d=-1 S=3\n0 1.0\n",  # negative dimension
-        "# d=30 S=10\n0 1.0\n",  # 10**30 cells
-        "# d=21 S=1\n0 1.0\n",  # more dimensions than any table under the cap
-        "# d=1 S=2\n0 nan\n1 0.5\n",  # NaN probability
-        "# d=1 S=2\n0 inf\n1 0.5\n",  # infinite probability
+        ("# d=1 S=2\nzero 0.5\n1 0.5\n", "malformed"),  # non-integer index
+        ("# d=1 S=2\n0 half\n1 0.5\n", "malformed"),  # non-float probability
+        ("# d=x S=2\n0 0.5\n1 0.5\n", "malformed"),  # bad header
+        ("# d=2 S=-3\n0 1.0\n", "out of range"),  # negative vocabulary
+        ("# d=-1 S=3\n0 1.0\n", "out of range"),  # negative dimension
+        ("# d=30 S=10\n0 1.0\n", "out of range"),  # 10**30 cells
+        ("# d=21 S=1\n0 1.0\n", "out of range"),  # more dimensions than any table under the cap
+        ("# d=1 S=2\n0 nan\n1 0.5\n", "NaN or infinite"),  # NaN probability
+        ("# d=1 S=2\n0 inf\n1 0.5\n", "deviates from 1"),  # infinite probability
     ],
     ids=[
         "index", "probability", "header", "negative-S", "negative-d", "too-many-cells", "too-many-dims",
         "nan-probability", "inf-probability",
     ],
 )
-def test_target_table_load_rejects_malformed_fields(tmp_path, text):
+def test_target_table_load_rejects_malformed_fields(tmp_path, text, message):
     path = tmp_path / "t.txt"
     path.write_text(text)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match=message):
         load_target_table(path)
 
 
 def test_target_table_load_rejects_non_utf8_bytes(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes(b"# d=1 S=2\n0 0.5\n1 0.5 \xff\n")
-    with pytest.raises(DataError, match="not UTF-8") as excinfo:
+    with pytest.raises(ConfigError, match="not UTF-8") as excinfo:
         load_target_table(path)
     assert str(path) in str(excinfo.value)
 
@@ -304,7 +310,7 @@ def test_unreachable_context_raises():
     probs = np.zeros((2, 2))
     probs[0, 0] = probs[0, 1] = 0.5  # first token is always 0
     oracle = ConditionalOracle(TargetTable(probs))
-    with pytest.raises(UnreachableContextError, match=r"\(1, 2\)"):
+    with pytest.raises(NumericalError, match=r"context \(1, 2\) has zero mass"):
         oracle.conditional_probs(np.array([[0, 2], [1, 2]]))
 
 
@@ -315,9 +321,9 @@ def test_masked_model_raises_at_a_zero_mass_context(sched):
     reachable, unreachable = masked_label([0, 2], 2), masked_label([1, 2], 2)
     assert model.rates_batch(0.5, np.array([reachable])).sum() > 0
     for labels in ([unreachable], [reachable, masked_label([1, 0], 2)]):
-        with pytest.raises(UnreachableContextError):
+        with pytest.raises(NumericalError, match="has zero mass"):
             model.rates_batch(0.5, np.array(labels))
-    with pytest.raises(UnreachableContextError, match=r"\(1, 2\)"):
+    with pytest.raises(NumericalError, match=r"context \(1, 2\) has zero mass"):
         model.finalize_batch(np.array([reachable, unreachable]), np.random.default_rng(0), StepTelemetry())
 
 
@@ -346,7 +352,7 @@ def test_masked_score_equals_conditionals_at_unit_prefactor(sched, model):
 
 
 def test_masked_score_singular_at_zero(model):
-    with pytest.raises(SingularScoreError):
+    with pytest.raises(NumericalError, match="unmask rate diverges at t = 0"):
         model.rates_batch(1.0, np.array([masked_label([3, 3], 3)]))
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thetaleap.errors import ConfigError, DataError
+from thetaleap import cli
+from thetaleap.engine import substream
+from thetaleap.errors import ConfigError
 from thetaleap.metrics import (
     bootstrap_kl_ci,
     empirical_distribution,
@@ -13,6 +15,9 @@ from thetaleap.metrics import (
     kl_divergence,
     noise_floor,
 )
+from thetaleap.models import sample_simplex
+
+from kernel_oracle import exact_scheme_distribution
 
 
 def test_empirical_distribution_counts():
@@ -22,9 +27,9 @@ def test_empirical_distribution_counts():
 
 
 def test_empirical_distribution_rejects_empty_and_out_of_range():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="at least one sample"):
         empirical_distribution(np.array([], dtype=int), 3)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match=r"samples must lie in \[0, 3\)"):
         empirical_distribution(np.array([0, 3]), 3)
 
 
@@ -65,7 +70,7 @@ def test_kl_rejects_a_law_that_does_not_sum_to_one():
     counts = empirical_distribution(np.array([0, 1, 2] * 10), 3)
     uniform = np.full(3, 1 / 3)
     for p, q in ((uniform, counts), (counts, uniform), (uniform, np.stack([uniform, counts]))):
-        with pytest.raises(DataError, match="not a law"):
+        with pytest.raises(ConfigError, match="not a law"):
             kl_divergence(p, q)
     assert kl_divergence(uniform, counts / 30) == 0.0
     assert np.array_equal(kl_divergence(uniform, np.stack([uniform, [0.5, 0.5, 0.0]])), [0.0, math.inf])
@@ -97,7 +102,7 @@ def test_bootstrap_interval_brackets_estimate():
     p0 = np.full(10, 0.1)
     counts = empirical_distribution(rng.integers(0, 10, size=50_000), 10)
     report = bootstrap_kl_ci(counts, p0, 1000, 0.95, np.random.default_rng(2))
-    assert report.ci_lo <= report.ci_hi
+    assert report.ci_lo <= report.estimate <= report.ci_hi
     assert report.n_samples == 50_000
     assert report.n_infinite_resamples == 0
 
@@ -119,8 +124,35 @@ def test_bootstrap_converges_to_plugin_estimate():
     counts = empirical_distribution(rng.integers(0, 5, size=20_000), 5)
     r = bootstrap_kl_ci(counts, p0, 10_000, 0.95, np.random.default_rng(6))
     # resample mean exceeds the plug-in estimate by about one more bias unit;
-    # the percentile interval still brackets it within a resample sd
-    assert r.ci_lo - 2 * noise_floor(20_000, 5) <= r.estimate <= r.ci_hi
+    # reflected about the estimate, the interval still brackets it within a
+    # resample sd
+    assert r.ci_lo <= r.estimate <= r.ci_hi + 2 * noise_floor(20_000, 5)
+
+
+def test_bootstrap_interval_covers_the_exact_toy_kl():
+    # histograms drawn as Multinomial(M, q) from kernel_oracle's exact laws on
+    # the default toy target (p0-seed 0, T = 12, theta = 1/2): tau-leaping at
+    # N = 4, far above the noise floor; theta-trapezoidal at N = 128, below
+    # it; and q = p0, an exact sampler.  Far from the floor the coverage must
+    # be 0.95 within three binomial standard errors.  Near the floor and at
+    # KL = 0 the interval may over-cover, since its lower end is clamped at 0,
+    # so there only under-coverage fails.
+    p0 = sample_simplex(cli.TOY_STATES, substream(0, cli.TAG_TARGET)).flat()
+    cells = {
+        "far": exact_scheme_distribution("tau-leaping", p0, 12.0, 4, 0.5),
+        "near": exact_scheme_distribution("theta-trapezoidal", p0, 12.0, 128, 0.5),
+        "exact": p0,
+    }
+    replicates, m = 1000, 4096
+    band = 3 * math.sqrt(0.95 * 0.05 / replicates)
+    rng = np.random.default_rng(0)
+    coverage = {}
+    for name, q in cells.items():
+        truth = kl_divergence(p0, q)
+        reports = [bootstrap_kl_ci(rng.multinomial(m, q), p0, 200, 0.95, rng) for _ in range(replicates)]
+        coverage[name] = np.mean([r.ci_lo <= truth <= r.ci_hi for r in reports])
+    assert abs(coverage["far"] - 0.95) <= band, coverage
+    assert min(coverage.values()) >= 0.95 - band, coverage
 
 
 def test_bootstrap_infinite_resamples_flagged():
@@ -143,17 +175,19 @@ def test_bootstrap_matches_per_resample_kl_divergence():
     finite = np.isfinite(kls)
     assert 0 < r.n_infinite_resamples == (~finite).sum() < 500
     lo, hi = np.quantile(kls[finite], [0.025, 0.975])
-    assert r.ci_lo == pytest.approx(lo, rel=1e-12) and r.ci_hi == pytest.approx(hi, rel=1e-12)
+    k = kl_divergence(p0, counts / 200)
+    assert r.ci_lo == pytest.approx(max(0.0, 2 * k - hi), rel=1e-12)
+    assert r.ci_hi == pytest.approx(max(0.0, 2 * k - lo), rel=1e-12)
 
 
 def test_bootstrap_validation():
     p0 = np.array([1.0, 0.0])
     rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="at least 2 resamples"):
         bootstrap_kl_ci(np.array([10, 0]), p0, 1, 0.95, rng)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="level must lie"):
         bootstrap_kl_ci(np.array([10, 0]), p0, 1000, 1.2, rng)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="holds no samples"):
         bootstrap_kl_ci(np.array([0, 0]), p0, 1000, 0.95, rng)
 
 
@@ -187,9 +221,9 @@ def test_fit_min_steps_filter():
 
 
 def test_fit_errors():
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError, match="at least 2 points"):
         fit_loglog_slope([(10, 0.1)])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="finite positive KL"):
         fit_loglog_slope([(10, 0.1), (20, 0.0)])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="finite positive KL"):
         fit_loglog_slope([(10, 0.1), (20, -0.5)])
