@@ -353,7 +353,6 @@ def _envelope(model, points: np.ndarray):
 def _uniformize_chunk(config: SolverConfig, model, states, rng, tel: StepTelemetry):
     """Exact simulation by thinning on the chunk's ``rng``; the draw layout is in the module docstring."""
     m = states.shape[0]
-    nfe_per = np.zeros(m, dtype=np.int64)
     ones = np.ones(model.n_coords * model.slots_per_coord)
     envelope = _envelope(model, config.grid.points)
     for edges, bounds, cum_mass in zip(*envelope):
@@ -361,7 +360,7 @@ def _uniformize_chunk(config: SolverConfig, model, states, rng, tel: StepTelemet
         # time per unit of envelope mass on each piece (0 on empty pieces)
         slope = np.divide(1.0, bounds, out=np.zeros_like(bounds), where=bounds > 0.0)
         n_cand = rng.poisson(mass, size=m)
-        nfe_per += n_cand
+        tel.nfe += int(n_cand.sum())
         rows = np.flatnonzero(n_cand)
         left = n_cand[rows]
         lam = np.zeros(rows.size)
@@ -388,8 +387,7 @@ def _uniformize_chunk(config: SolverConfig, model, states, rng, tel: StepTelemet
             left -= 1
             keep = left > 0
             rows, left, lam = rows[keep], left[keep], lam[keep]
-    tel.nfe += int(nfe_per.sum())
-    return states, nfe_per
+    return states
 
 
 def _run_chunk(config: SolverConfig, model, chunk_idx: int, m: int):
@@ -397,9 +395,8 @@ def _run_chunk(config: SolverConfig, model, chunk_idx: int, m: int):
     try:
         rng = substream(config.seed, TAG_SAMPLE, chunk_idx)
         states = model.sample_q0_batch(rng, m)
-        nfe_per = None
         if config.method == "uniformization":
-            states, nfe_per = _uniformize_chunk(config, model, states, rng, tel)
+            states = _uniformize_chunk(config, model, states, rng, tel)
         else:
             for n in range(config.grid.n_intervals):
                 states = _step_interval(config, model, states, rng, n, tel)
@@ -409,7 +406,7 @@ def _run_chunk(config: SolverConfig, model, chunk_idx: int, m: int):
     except ThetaLeapError as exc:
         lo = chunk_idx * CHUNK_SIZE
         raise type(exc)(f"{exc} [trajectories {lo}..{lo + m - 1}]") from exc
-    return samples, tel, nfe_per
+    return samples, tel
 
 
 # The model of this worker process, set once by the pool's initializer.
@@ -472,10 +469,8 @@ def run_sampler(config: SolverConfig, model, n_samples: int, pool: ChunkPool | N
 
     ``pool`` is an open :class:`ChunkPool` for ``model``, which sets the
     worker count; without one every chunk runs in this process.  The output
-    is the same either way.  Returns ``(samples, telemetry, nfe)``, where
-    ``nfe`` holds per-trajectory NFE counts for uniformization and is
-    ``None`` for the stepping methods, whose NFE is the same for every
-    trajectory.
+    is the same either way.  Returns ``(samples, telemetry)``: the encoded
+    samples, and the counters of every chunk summed.
     """
     if n_samples < 1:
         raise ConfigError(f"need at least one trajectory, got {n_samples}")
@@ -490,7 +485,6 @@ def run_sampler(config: SolverConfig, model, n_samples: int, pool: ChunkPool | N
     results = pool.run(tasks)
     samples = np.concatenate([r[0] for r in results])
     telemetry = StepTelemetry()
-    for _, tel, _ in results:
+    for _, tel in results:
         telemetry.merge(tel)
-    nfe = None if results[0][2] is None else np.concatenate([r[2] for r in results])
-    return samples, telemetry, nfe
+    return samples, telemetry

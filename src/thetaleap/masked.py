@@ -138,11 +138,12 @@ def load_target_table(path, d: int | None = None, S: int | None = None) -> Targe
     d, S = file_d, file_S
     if d is None or S is None:
         raise ConfigError("table dimensions unknown; provide d and S or a '# d=.. S=..' header")
-    # past log2(cap) dimensions any S >= 2 overflows the cap, so S**d stays cheap
+    # past log2(cap) dimensions any S >= 2 overflows the cap, so S**d stays cheap;
+    # S >= 2 gives every table at least two cells, which the noise floor needs
     max_d = MAX_TABLE_CELLS.bit_length()
-    if not (1 <= d <= max_d and S >= 1 and S**d <= MAX_TABLE_CELLS):
+    if not (1 <= d <= max_d and S >= 2 and S**d <= MAX_TABLE_CELLS):
         raise ConfigError(
-            f"table shape d={d} S={S} is out of range: need 1 <= d <= {max_d}, S >= 1 "
+            f"table shape d={d} S={S} is out of range: need 1 <= d <= {max_d}, S >= 2 "
             f"and S**d <= {MAX_TABLE_CELLS} cells"
         )
     flat = np.zeros(S**d)

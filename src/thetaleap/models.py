@@ -70,20 +70,22 @@ class ToyUniformModel:
         return rng.integers(0, self.S, size=m, dtype=np.int64)
 
     def rates_batch(self, s, states: np.ndarray) -> np.ndarray:
+        base, decay = self._mixture(s)
+        # the masses the score divides by: every state's at one time, else each row's own
+        pt = base + decay * (self.p0.probs if np.ndim(s) == 0 else self.p0.probs[states])
+        if not np.all(pt > 0.0):
+            at = np.broadcast_to(s, pt.shape)[np.argmin(pt > 0.0)]
+            raise NumericalError(
+                f"marginal at reverse time {float(at):.6g} has a zero-mass state; "
+                "the score is undefined there (use an early stop delta > 0)"
+            )
         if np.ndim(s) == 0:
-            pt = self.marginal(s)
-            if not pt.min() > 0.0:
-                raise NumericalError(
-                    f"marginal at reverse time {float(s):.6g} has a zero-mass state; "
-                    "the score is undefined there (use an early stop delta > 0)"
-                )
             # one S x S table of pt[v] / (S pt[y]) per call, gathered by state
             table = pt[None, :] / (self.S * pt[:, None])
             np.fill_diagonal(table, 0.0)
             return np.take(table, states, axis=0)
         # rank 2: r[i, v] = (base_i + decay_i p0[v]) / (S pt_i(y_i))
-        base, decay = self._mixture(s)
-        inv_own = 1.0 / (self.S * (base + decay * self.p0.probs[states]))
+        inv_own = 1.0 / (self.S * pt)
         coef = np.stack([base * inv_own, decay * inv_own], axis=1)
         r = coef @ np.stack([np.ones(self.S), self.p0.probs])
         r.reshape(-1)[np.arange(states.size) * self.S + states] = 0.0

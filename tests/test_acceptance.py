@@ -147,7 +147,7 @@ def test_criterion_6_homogeneous_intensity_is_poisson(monkeypatch):
 
     draws = record_poisson(monkeypatch)
     config = SolverConfig("theta-trapezoidal", TimeGrid(dt, 0.0, 1, theta), seed=2024)
-    _, tel, _ = run_sampler(config, ConstantRates([[mu]]), n_draws)
+    _, tel = run_sampler(config, ConstantRates([[mu]]), n_draws)
     counts = drawn_per_trajectory(draws)
     assert counts.size == n_draws and counts.sum() == tel.drawn_jumps
     observed = np.bincount(counts)

@@ -459,6 +459,23 @@ def test_cli_non_finite_target_file_fails_at_load(tmp_path, monkeypatch, capsys,
     assert "NaN or infinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_cli_one_cell_target_file_fails_before_sampling(tmp_path, monkeypatch, capsys, d):
+    # S = 1 leaves the table one cell, which no KL study can resolve: it used
+    # to sample every cell and only then fail in the noise floor
+    calls = []
+    monkeypatch.setattr(cli, "run_sampler", lambda *a, **k: calls.append(a))
+    path = tmp_path / "p0.txt"
+    path.write_text(f"# d={d} S=1\n0 1.0\n")
+    code = main(
+        ["masked-converge", "--samples", "1000", "--steps", "4", "--bootstrap", "10",
+         "--target-file", str(path), "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2
+    assert calls == []
+    assert "S >= 2" in capsys.readouterr().err
+
+
 def test_cli_masked_zero_cells_sample_or_fail_as_model_errors(tmp_path, capsys):
     # the target (0.5, 0, 0, 0.5) on d=2, S=2: Euler and uniformization
     # unmask one position per accepted jump and never meet a zero-mass
@@ -581,17 +598,29 @@ def test_cli_json_output(tmp_path):
 
 
 # Seed-0 outputs pinned byte for byte, with the wall_ms column dropped.  A
-# change that moves a random stream must update these digests openly.
+# change that moves a random stream must update these digests openly.  The
+# toy and masked texts each hold one float cell whose 17th digit depends on
+# which kernel numpy's float64 log dispatches (kl_divergence calls it), so
+# they are pinned per dispatch target, as _log_target() names it; the other
+# two read the same on every level and keep one digest.
 PINNED_OUTPUTS = {
     "toy": (
         ["toy-converge", "--samples", "2000", "--steps", "64,128",
          "--method", "euler,tau-leaping,theta-rk2,theta-trapezoidal", "--bootstrap", "50"],
-        "157989f0ebdd481804bffe3909c6b8906f353749158df9ce4667b6865b9eb05d",
+        {
+            "X86_V4": "157989f0ebdd481804bffe3909c6b8906f353749158df9ce4667b6865b9eb05d",
+            "X86_V3": "8123a5a2dfa59ac933b39416369f8cf011a8703b59eb01701681f986540e4303",
+            "baseline(X86_V2)": "8123a5a2dfa59ac933b39416369f8cf011a8703b59eb01701681f986540e4303",
+        },
     ),
     "masked": (
         ["masked-converge", "--samples", "20000", "--steps", "4,8", "--delta", "0.5",
          "--method", "euler,tau-leaping,theta-trapezoidal", "--bootstrap", "50"],
-        "8e5fd178d518eed9defecf89193925f8c47e7d06864e1e2f90c1e82c82932345",
+        {
+            "X86_V4": "8e5fd178d518eed9defecf89193925f8c47e7d06864e1e2f90c1e82c82932345",
+            "X86_V3": "8f170dc5c7ba83f858cad183b6c389551a734c1fe3793bf1ebc91d34341a79d9",
+            "baseline(X86_V2)": "8f170dc5c7ba83f858cad183b6c389551a734c1fe3793bf1ebc91d34341a79d9",
+        },
     ),
     "exact-check": (
         ["exact-check", "--samples", "2000", "--steps", "4", "--bootstrap", "50"],
@@ -605,9 +634,20 @@ PINNED_OUTPUTS = {
 }
 
 
+def _log_target() -> str:
+    """The SIMD target numpy dispatches for float64 log on this CPU, such as X86_V4."""
+    from numpy.lib.introspect import opt_func_info
+
+    return opt_func_info(func_name="^log$", signature="float64")["log"]["dd"]["current"]
+
+
 @pytest.mark.parametrize("name", list(PINNED_OUTPUTS))
 def test_cli_output_bytes_are_pinned(tmp_path, name):
     argv, digest = PINNED_OUTPUTS[name]
+    if isinstance(digest, dict):
+        target = _log_target()
+        assert target in digest, f"no {name} digest pinned for numpy's float64 log dispatch target {target}"
+        digest = digest[target]
     out = tmp_path / "out.csv"
     assert main(argv + ["--seed", "0", "--out", str(out)]) == 0
     wall = CSV_HEADER.split(",").index("wall_ms")
@@ -634,9 +674,9 @@ def test_cli_histograms_are_pinned(tmp_path, monkeypatch, name):
     run_sampler, histogram = cli.run_sampler, cli.empirical_distribution
 
     def recorded_run(*args, **kwargs):
-        samples, tel, nfe = run_sampler(*args, **kwargs)
+        samples, tel = run_sampler(*args, **kwargs)
         digest.update(np.array([getattr(tel, f.name) for f in fields(tel)], dtype=np.int64).tobytes())
-        return samples, tel, nfe
+        return samples, tel
 
     def recorded_histogram(*args):
         counts = histogram(*args)

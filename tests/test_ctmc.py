@@ -206,6 +206,12 @@ def test_score_hand_ratios():
 def test_score_zero_mass_raises():
     with pytest.raises(NumericalError, match="zero-mass state"):
         _toy([0.0, 1.0]).rates_batch(1.0, np.array([0]))
+    # the per-row path raises the same error for a row on a zero-mass state,
+    # rather than returning NaN rates; an empty batch has no such row
+    model = _toy([0.5, 0.5, 0.0], horizon=2.0)
+    with pytest.raises(NumericalError, match="reverse time 2 has a zero-mass state"):
+        model.rates_batch(np.array([2.0]), np.array([2]))
+    assert model.rates_batch(np.array([]), np.array([], dtype=np.int64)).shape == (0, 3)
 
 
 @settings(max_examples=50, deadline=None)

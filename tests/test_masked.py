@@ -125,7 +125,7 @@ def _masked_counts_at_grid_end(model, delta, m, seed):
 
     model.finalize_batch = recording_fill
     grid = TimeGrid(1.0, delta, 128, 0.5)
-    _, tel, _ = run_sampler(SolverConfig("theta-trapezoidal", grid, seed), model, m)
+    _, tel = run_sampler(SolverConfig("theta-trapezoidal", grid, seed), model, m)
     return np.concatenate(counts), tel
 
 
@@ -231,7 +231,7 @@ def test_target_table_load_rejects_large_drift(tmp_path):
         ("# d=2 S=-3\n0 1.0\n", "out of range"),  # negative vocabulary
         ("# d=-1 S=3\n0 1.0\n", "out of range"),  # negative dimension
         ("# d=30 S=10\n0 1.0\n", "out of range"),  # 10**30 cells
-        ("# d=21 S=1\n0 1.0\n", "out of range"),  # more dimensions than any table under the cap
+        ("# d=21 S=2\n0 1.0\n", "out of range"),  # more dimensions than any table under the cap
         ("# d=1 S=2\n0 nan\n1 0.5\n", "NaN or infinite"),  # NaN probability
         ("# d=1 S=2\n0 inf\n1 0.5\n", "deviates from 1"),  # infinite probability
     ],
@@ -333,7 +333,7 @@ def test_masked_sampling_puts_no_sample_on_a_zero_cell(sched):
     # are never reached
     model = MaskedToyModel(TargetTable(np.array([[0.5, 0.0], [0.0, 0.5]])), sched)
     grid = TimeGrid(1.0, 0.5, 16, 0.5)
-    samples, tel, _ = run_sampler(SolverConfig("euler", grid, seed=3), model, 20_000)
+    samples, tel = run_sampler(SolverConfig("euler", grid, seed=3), model, 20_000)
     assert tel.final_fill_evals > 0
     counts = np.bincount(samples, minlength=4)
     assert counts[1] == counts[2] == 0 and counts[0] > 0 and counts[3] > 0

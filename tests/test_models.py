@@ -226,7 +226,7 @@ def test_masked_reverse_consistency_medium_scale():
     model = MaskedToyModel(table, NoiseSchedule(1e-3))
     m = 60_000
     grid = TimeGrid(1.0, 1e-3, 128, 0.5)
-    samples, _, _ = run_sampler(SolverConfig("theta-trapezoidal", grid, seed=8), model, m)
+    samples, _ = run_sampler(SolverConfig("theta-trapezoidal", grid, seed=8), model, m)
     kl = kl_divergence(table.flat(), empirical_distribution(samples, 64) / m)
     assert kl < 3 * noise_floor(m, 64)
 
@@ -237,7 +237,7 @@ def test_masked_determinism_across_workers():
     grid = TimeGrid(1.0, 1e-3, 8, 0.5)
     cfg = SolverConfig("theta-trapezoidal", grid, seed=11)
     m = CHUNK_SIZE + 500
-    s1, _, _ = run_sampler(cfg, model, m)
+    s1, _ = run_sampler(cfg, model, m)
     with ChunkPool(model, 2) as pool:
-        s2, _, _ = run_sampler(cfg, model, m, pool=pool)
+        s2, _ = run_sampler(cfg, model, m, pool=pool)
     assert np.array_equal(s1, s2)

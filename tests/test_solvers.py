@@ -112,7 +112,7 @@ def test_alpha_rejects_endpoints():
 
 
 def test_tau_leap_zero_rates_never_moves():
-    samples, tel, _ = _sample(ConstantRates([[0.0, 0.0]]), "tau-leaping", 0.5, 1000, seed=1)
+    samples, tel = _sample(ConstantRates([[0.0, 0.0]]), "tau-leaping", 0.5, 1000, seed=1)
     assert np.all(samples == 0) and tel.rejected_steps == 0 and tel.drawn_jumps == 0
 
 
@@ -120,7 +120,7 @@ def test_tau_leap_single_jump_probabilities():
     # P(applied) = lam*e^-lam, P(reject) = 1 - e^-lam (1+lam) at lam = 0.1
     lam = 0.1
     n = 200_000
-    samples, tel, _ = _sample(ConstantRates([[0.0, 1.0]]), "tau-leaping", lam, n, seed=2)
+    samples, tel = _sample(ConstantRates([[0.0, 1.0]]), "tau-leaping", lam, n, seed=2)
     p_apply = lam * np.exp(-lam)
     p_reject = 1 - np.exp(-lam) * (1 + lam)
     for freq, p in (((samples == 1).mean(), p_apply), (tel.rejected_steps / n, p_reject)):
@@ -131,7 +131,7 @@ def test_tau_leap_single_jump_probabilities():
 def test_tau_leap_rejects_multijump_per_coordinate():
     # two jump slots on one coordinate with enormous rates: always >= 2 draws
     m = 1000
-    samples, tel, _ = _sample(ConstantRates([[0.0, 50.0, 50.0]]), "tau-leaping", 1.0, m, seed=3)
+    samples, tel = _sample(ConstantRates([[0.0, 50.0, 50.0]]), "tau-leaping", 1.0, m, seed=3)
     assert np.all(samples == 0) and tel.rejected_steps == m
 
 
@@ -140,7 +140,7 @@ def test_tau_leap_applies_at_most_one_jump_per_coordinate(monkeypatch):
     # coordinate stays put, any other row moves exactly its drawn coordinates
     draws = record_poisson(monkeypatch)
     m = 500
-    samples, tel, _ = _sample(ConstantRates([[0.0, 0.8], [0.0, 0.8]]), "tau-leaping", 1.0, m, seed=4)
+    samples, tel = _sample(ConstantRates([[0.0, 0.8], [0.0, 0.8]]), "tau-leaping", 1.0, m, seed=4)
     per_coord = draws[0][0].reshape(m, 2, 2).sum(axis=2)
     reject = (per_coord > 1).any(axis=1)
     moved = np.where(reject[:, None], 0, per_coord)
@@ -152,13 +152,13 @@ def test_tau_leap_applies_at_most_one_jump_per_coordinate(monkeypatch):
 
 
 def test_euler_zero_rates_stays():
-    samples, _, _ = _sample(ConstantRates([[0.0, 0.0]]), "euler", 1.0, 1000, seed=6)
+    samples, _ = _sample(ConstantRates([[0.0, 0.0]]), "euler", 1.0, 1000, seed=6)
     assert np.all(samples == 0)
 
 
 def test_euler_jump_probability():
     n = 100_000
-    samples, _, _ = _sample(ConstantRates([[0.0, 0.25]]), "euler", 1.0, n, seed=7)
+    samples, _ = _sample(ConstantRates([[0.0, 0.25]]), "euler", 1.0, n, seed=7)
     se = np.sqrt(0.25 * 0.75 / n)
     assert abs((samples == 1).mean() - 0.25) < 4 * se
 
@@ -175,8 +175,8 @@ def test_euler_vs_tau_leap_total_variation_is_second_order():
     lam = 0.2
     n = 200_000
     model = ConstantRates([[0.0, 1.0]])
-    tau, _, _ = _sample(model, "tau-leaping", lam, n, seed=9)
-    eul, _, _ = _sample(model, "euler", lam, n, seed=10)
+    tau, _ = _sample(model, "tau-leaping", lam, n, seed=9)
+    eul, _ = _sample(model, "euler", lam, n, seed=10)
     gap = (eul == 1).mean() - (tau == 1).mean()
     expected_gap = lam * (1 - np.exp(-lam))  # = lam^2 + O(lam^3)
     se = np.sqrt(2 * lam / n)
@@ -190,7 +190,7 @@ def test_euler_vs_tau_leap_total_variation_is_second_order():
 def test_two_stage_zero_intensity_is_identity():
     m = 100
     for method in ("theta-rk2", "theta-trapezoidal"):
-        samples, tel, _ = _sample(ConstantRates([[0.0, 0.0]]), method, 1.0, m, n_steps=4, seed=10)
+        samples, tel = _sample(ConstantRates([[0.0, 0.0]]), method, 1.0, m, n_steps=4, seed=10)
         assert np.all(samples == 0)
         assert tel.nfe == 2 * 4 * m  # two intensity evaluations per interval
 
@@ -200,7 +200,7 @@ def test_rk2_half_theta_uses_intermediate_intensity_only():
     # vanishes at the section point can never fire in stage 2, although
     # stage 1 draws it
     model = SwitchedRates([[0.0, 2.0]], switch=0.25)
-    samples, tel, _ = _sample(model, "theta-rk2", 1.0, 200, n_steps=2, seed=11)
+    samples, tel = _sample(model, "theta-rk2", 1.0, 200, n_steps=2, seed=11)
     assert tel.drawn_jumps > 0
     assert np.all(samples == 0)
 
@@ -210,7 +210,7 @@ def test_trapezoidal_constant_intensity_total_counts_poisson(monkeypatch):
     mu, dt, theta = 0.8, 1.0, 0.3
     n = 30_000
     draws = record_poisson(monkeypatch)
-    _, tel, _ = _sample(ConstantRates([[mu]]), "theta-trapezoidal", dt, n, theta=theta, seed=12)
+    _, tel = _sample(ConstantRates([[mu]]), "theta-trapezoidal", dt, n, theta=theta, seed=12)
     counts = drawn_per_trajectory(draws)
     assert counts.size == n and counts.sum() == tel.drawn_jumps
     lam = mu * dt
@@ -231,7 +231,7 @@ def test_negative_intensity_clamping_and_telemetry():
     # no rate at either stage and adds no terms
     m = 100
     model = SwitchedRates([[0.0, 1.0]], switch=0.1)
-    _, tel, _ = _sample(model, "theta-trapezoidal", 1.0, m, n_steps=2, seed=13)
+    _, tel = _sample(model, "theta-trapezoidal", 1.0, m, n_steps=2, seed=13)
     assert tel.negative_intensity_events == tel.total_intensity_terms == m
 
 
@@ -240,7 +240,7 @@ def test_error_on_negative_policy_raises(monkeypatch):
     # raises a NumericalError on one: stage 2 draws from the clamped zero
     draws = record_poisson(monkeypatch)
     model = SwitchedRates([[0.0, 1.0]], switch=0.1)
-    _, tel, _ = _sample(model, "theta-trapezoidal", 1.0, 100, n_steps=2, seed=14)
+    _, tel = _sample(model, "theta-trapezoidal", 1.0, 100, n_steps=2, seed=14)
     assert tel.negative_intensity_events == 100
     assert np.all(draws[0][1] == 0)  # chunk 0's second draw: interval 0, stage 2
 
@@ -287,7 +287,7 @@ def test_uniformization_two_state_matches_analytic_marginal():
     # 4 SE on 180k trajectories: an absolute bar of 0.0037, false alarms 6e-5
     a, b = 0.3, 0.7
     n = 180_000
-    samples, _, _ = _sample(TwoState(a, b), "uniformization", 1.0, n, seed=15)
+    samples, _ = _sample(TwoState(a, b), "uniformization", 1.0, n, seed=15)
     want = two_state_marginal(1.0, a, b, 1.0)[0]
     se = np.sqrt(want * (1 - want) / n)
     assert abs((samples == 0).mean() - want) < 4 * se
@@ -296,25 +296,27 @@ def test_uniformization_two_state_matches_analytic_marginal():
 def test_uniformization_candidate_count_mean():
     # the bound equals the total rate, so every candidate is a jump
     lam, n = 2.0, 20_000
-    _, tel, nfe = _sample(ConstantRates([[0.0, lam]], bound=lam), "uniformization", 1.5, n, seed=16)
-    assert tel.nfe == nfe.sum()
-    assert abs(nfe.mean() - lam * 1.5) < 4 * np.sqrt(lam * 1.5 / n)
+    _, tel = _sample(ConstantRates([[0.0, lam]], bound=lam), "uniformization", 1.5, n, seed=16)
+    assert abs(tel.nfe / n - lam * 1.5) < 4 * np.sqrt(lam * 1.5 / n)
     assert abs(tel.drawn_jumps / n - lam * 1.5) < 4 * np.sqrt(lam * 1.5 / n)
 
 
-def test_uniformization_candidate_times_are_sorted_uniforms():
+def test_uniformization_candidate_times_are_sorted_uniforms(monkeypatch):
     # every rate evaluation is recorded with its trajectory id: each
-    # trajectory's candidates come in increasing time, one per counted
-    # evaluation, and pooled over trajectories they are uniform in each
-    # window; the terminal law is the exact one of the switched chain
+    # trajectory's candidates come in increasing time, one evaluation per
+    # candidate its windows' Poisson draws gave it, and pooled over
+    # trajectories they are uniform in each window; the terminal law is the
+    # exact one of the switched chain
+    draws = record_poisson(monkeypatch)
     lam, switch, windows, n = 2.0, 0.6, 4, 20_000
     model = RecordingSwitched(lam, switch)
-    samples, tel, nfe = _sample(model, "uniformization", 1.0, n, n_steps=windows, seed=18)
+    samples, tel = _sample(model, "uniformization", 1.0, n, n_steps=windows, seed=18)
     ids = np.concatenate([c[0] for c in model.calls])
     times = np.concatenate([c[1] for c in model.calls])
     order = np.argsort(ids, kind="stable")  # keeps each trajectory's call order
     ids, times = ids[order], times[order]
-    assert np.array_equal(np.bincount(ids, minlength=n), nfe) and tel.nfe == ids.size
+    assert np.array_equal(np.bincount(ids, minlength=n), drawn_per_trajectory(draws))
+    assert tel.nfe == ids.size
     assert np.all(np.diff(times)[ids[1:] == ids[:-1]] > 0.0)
     edges = TimeGrid(1.0, 0.0, windows, 0.5).points
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -334,16 +336,19 @@ def _ramp_envelope(a, edges):
         yield lo, hi, piece_edges, np.concatenate([[0.0], np.cumsum(mass)])
 
 
-def test_uniformization_candidates_follow_the_piecewise_envelope():
+def test_uniformization_candidates_follow_the_piecewise_envelope(monkeypatch):
     # on the ramp a * s the envelope is a * piece_hi on each of the
     # ENVELOPE_PIECES pieces of a window, so pooled candidate times have
-    # the envelope's piecewise-linear CDF there, not a uniform one
+    # the envelope's piecewise-linear CDF there, not a uniform one; each
+    # trajectory is evaluated once per candidate its Poisson draws gave it
+    draws = record_poisson(monkeypatch)
     a, windows, n = 4.0, 4, 20_000
     model = RampRates(a)
-    _, tel, nfe = _sample(model, "uniformization", 1.0, n, n_steps=windows, seed=19)
+    _, tel = _sample(model, "uniformization", 1.0, n, n_steps=windows, seed=19)
     ids = np.concatenate([c[0] for c in model.calls])
     times = np.concatenate([c[1] for c in model.calls])
-    assert np.array_equal(np.bincount(ids, minlength=n), nfe) and tel.nfe == ids.size
+    assert np.array_equal(np.bincount(ids, minlength=n), drawn_per_trajectory(draws))
+    assert tel.nfe == ids.size
     edges = TimeGrid(1.0, 0.0, windows, 0.5).points
     for lo, hi, piece_edges, cum in _ramp_envelope(a, edges):
         inside = times[(times > lo) & (times <= hi)]
@@ -353,12 +358,12 @@ def test_uniformization_candidates_follow_the_piecewise_envelope():
 
 def test_uniformization_ramp_nfe_is_the_envelope_mass_and_the_law_is_exact():
     a, windows, n = 4.0, 4, 20_000
-    samples, _, nfe = _sample(RampRates(a), "uniformization", 1.0, n, n_steps=windows, seed=20)
+    samples, tel = _sample(RampRates(a), "uniformization", 1.0, n, n_steps=windows, seed=20)
     edges = TimeGrid(1.0, 0.0, windows, 0.5).points
     envelope = sum(cum[-1] for *_, cum in _ramp_envelope(a, edges))
     window_max = float(np.sum(a * edges[1:] * np.diff(edges)))
     se = np.sqrt(envelope / n)  # the NFE is Poisson(envelope mass)
-    assert abs(nfe.mean() - envelope) < 4 * se
+    assert abs(tel.nfe / n - envelope) < 4 * se
     assert envelope + 8 * se < window_max
     want = 1.0 - np.exp(-a / 2.0)
     se = np.sqrt(want * (1 - want) / n)

@@ -135,5 +135,9 @@ def record_poisson(monkeypatch) -> dict:
 
 
 def drawn_per_trajectory(draws: dict) -> np.ndarray:
-    """Pre-rejection jump counts per trajectory, summed over every leap of its chunk."""
-    return np.concatenate([sum(c.sum(axis=1) for c in draws[chunk]) for chunk in sorted(draws)])
+    """Poisson counts per trajectory, summed over every draw of its chunk: the
+    pre-rejection jump counts of every leap, or uniformization's candidate
+    counts (its NFE) of every window."""
+    return np.concatenate(
+        [sum(c.reshape(len(c), -1).sum(axis=1) for c in draws[chunk]) for chunk in sorted(draws)]
+    )
