@@ -20,7 +20,12 @@ finish in one process and takes every draw, in a fixed order, from one
 stream keyed by (seed, chunk), so the output is a pure function of the seed
 and the sample count: worker processes only change wall time, never bytes.
 ``CHUNK_SIZE`` is part of that reproducibility contract; changing it changes
-the streams.
+the streams.  A stepping interval runs over the chunk in row blocks of
+``BLOCK_ROWS``, in row order and one stage at a time, so its draws come in
+the order of one full-width pass; the block size is not part of the
+contract.  Blocks keep every temporary one block wide, except a two-stage
+method's stage-1 rates and intermediate states, which one full-width buffer
+each holds for the whole chunk (the rates in a memory mapping of their own).
 
 :func:`run_sampler` runs the chunks in this process, or on a
 :class:`ChunkPool` that a sweep opens for its model and keeps for all of its
@@ -33,11 +38,15 @@ worker once, through the executor's initializer; a chunk task carries only
 Batch models implement:
   - ``n_coords``, ``slots_per_coord``: jump-slot layout, where slot (c, v)
     means "set coordinate c to target v"
-  - ``sample_q0_batch(rng, m)``: initial states, one int64 label per trajectory
+  - ``sample_q0_batch(rng, m)``: initial states, one int64 label per
+    trajectory, in a new array that the stepping methods update in place
   - ``rates_batch(s, states)``: (m, n_coords * slots_per_coord) intensities;
     ``s`` may be a scalar or a per-row vector.  It returns a new array, which
     the engine owns and overwrites (the stepping methods scale it in place
-    into Poisson means), so it must not be a view of the model's own tables
+    into Poisson means), so it must not be a view of the model's own tables.
+    The stepping methods pass ``states`` as a contiguous view of one row
+    block of the chunk's states, which they overwrite later, so a model must
+    not keep a reference to it
   - ``apply(states, rows, coords, vals)``: in-place jump application
   - ``encode(states)``: each trajectory's index into the target's states
   - ``total_bound(s_lo, s_hi)``, which both models implement: a bound on every
@@ -62,6 +71,7 @@ reproducibility contract, like ``CHUNK_SIZE``.
 from __future__ import annotations
 
 import math
+import mmap
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -77,6 +87,9 @@ BOUND_RTOL = 1e-9
 
 CHUNK_SIZE = 16384
 ENVELOPE_PIECES = 16
+
+# Rows of one stepping block; not part of the reproducibility contract.
+BLOCK_ROWS = CHUNK_SIZE // 8
 
 # Largest step count a grid accepts; its float64 points then take 80 MB.
 MAX_INTERVALS = 10**7
@@ -222,9 +235,6 @@ def _leap_batch(model, states, lam, rng, tel: StepTelemetry):
         if np.all(lam >= 0.0):
             raise NumericalError(f"Poisson mean {lam.max():.6g} is above numpy's limit") from exc
         raise NumericalError("negative or NaN Poisson mean; clamping failed upstream") from exc
-    # spent: stage 1's means are a temporary that only this frame holds, and
-    # freeing them before the bookkeeping lowers the two-stage step's peak
-    del lam
     c3 = counts.reshape(m, model.n_coords, model.slots_per_coord)
     per_coord = np.einsum("mcs->mc", c3)
     tel.attempted_updates += m
@@ -236,12 +246,8 @@ def _leap_batch(model, states, lam, rng, tel: StepTelemetry):
         single[bad] = False
         # bad is sorted, so each rejected row starts one run of equal entries
         tel.rejected_steps += int(np.count_nonzero(bad[1:] != bad[:-1])) + 1
-    # freed before the movers' counts are gathered, which is the step's peak;
-    # the row indices overwrite the flat ones for the same reason
-    del bad
     states = states.copy()
-    movers = np.flatnonzero(single)
-    rows, coords = np.divmod(movers, model.n_coords, out=(movers, None))
+    rows, coords = np.divmod(np.flatnonzero(single), model.n_coords)
     if rows.size:
         vals = np.argmax(c3[rows, coords, :], axis=1)
         model.apply(states, rows, coords, vals)
@@ -309,30 +315,37 @@ def _combine_stage2(method, mu0, mustar, theta, tel: StepTelemetry):
     return np.maximum(mustar, 0.0, out=mustar)
 
 
-def _step_interval(config: SolverConfig, model, states, rng, n: int, tel: StepTelemetry):
-    """Interval ``n`` of a stepping method, drawn from the chunk's ``rng``.
-    Each rates array is scaled in place into its Poisson means (or Euler
-    probabilities), and all of them are freed when this returns."""
+def _step_interval(config: SolverConfig, model, states, rng, n: int, tel: StepTelemetry, mu0, ystar):
+    """Interval ``n`` of a stepping method, drawn from the chunk's ``rng``; moves ``states`` in place.
+
+    Stage 1 runs on every row block, then stage 2 on every block (module
+    docstring), and each block's rates are scaled in place into its Poisson
+    means (or Euler probabilities).  ``mu0`` and ``ystar`` are a two-stage
+    method's buffers for stage 1's rates and states, ``None`` otherwise.
+    """
     grid = config.grid
     theta = grid.theta
     method = config.method
     s, dt, rho = grid.interval(n)
     m = states.shape[0]
-    mu0 = model.rates_batch(s, states)
+    blocks = [slice(lo, lo + BLOCK_ROWS) for lo in range(0, m, BLOCK_ROWS)]
+    step = _euler_batch if method == "euler" else _leap_batch
+    # stage 1 is the whole step of Euler and tau-leaping, and the leap to y* of the others
+    end, span = (states, dt) if mu0 is None else (ystar, theta * dt)
     tel.nfe += m
-    if method == "tau-leaping":
-        return _leap_batch(model, states, np.multiply(mu0, dt, out=mu0), rng, tel)
-    if method == "euler":
-        return _euler_batch(model, states, np.multiply(mu0, dt, out=mu0), rng, tel)
-    # the one new array: the combine still needs mu0
-    ystar = _leap_batch(model, states, mu0 * (theta * dt), rng, tel)
-    mustar = model.rates_batch(rho, ystar)
+    for b in blocks:
+        r = model.rates_batch(s, states[b])
+        if mu0 is not None:
+            mu0[b] = r
+        end[b] = step(model, states[b], np.multiply(r, span, out=r), rng, tel)
+    if mu0 is None:
+        return
+    # theta-RK-2 leaps from the interval's start over dt, theta-Trapezoidal from y* over the rest
+    start, span = (states, dt) if method == "theta-rk2" else (ystar, (1.0 - theta) * dt)
     tel.nfe += m
-    lam = _combine_stage2(method, mu0, mustar, theta, tel)
-    del mu0  # spent by the combine; freeing it lowers the second leap's peak
-    if method == "theta-rk2":
-        return _leap_batch(model, states, np.multiply(lam, dt, out=lam), rng, tel)
-    return _leap_batch(model, ystar, np.multiply(lam, (1.0 - theta) * dt, out=lam), rng, tel)
+    for b in blocks:
+        lam = _combine_stage2(method, mu0[b], model.rates_batch(rho, ystar[b]), theta, tel)
+        states[b] = _leap_batch(model, start[b], np.multiply(lam, span, out=lam), rng, tel)
 
 
 def _envelope(model, points: np.ndarray):
@@ -398,8 +411,16 @@ def _run_chunk(config: SolverConfig, model, chunk_idx: int, m: int):
         if config.method == "uniformization":
             states = _uniformize_chunk(config, model, states, rng, tel)
         else:
+            mu0 = ystar = None
+            if config.method in ("theta-rk2", "theta-trapezoidal"):
+                # stage 1's rates get an anonymous mapping of their own, returned
+                # whole when the chunk ends: freed into the malloc heap they stayed
+                # resident below its trim threshold, which raised the peak RSS
+                width = model.n_coords * model.slots_per_coord
+                mu0 = np.frombuffer(mmap.mmap(-1, 8 * m * width)).reshape(m, width)
+                ystar = np.empty_like(states)
             for n in range(config.grid.n_intervals):
-                states = _step_interval(config, model, states, rng, n, tel)
+                _step_interval(config, model, states, rng, n, tel, mu0, ystar)
         if hasattr(model, "finalize_batch"):
             states = model.finalize_batch(states, rng, tel)
         samples = model.encode(states)

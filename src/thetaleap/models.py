@@ -132,6 +132,7 @@ class MaskedToyModel:
         masked = self._contexts == self.S
         self._index = np.where(masked.any(axis=1), -1, self._contexts @ self.S ** np.arange(self.d)[::-1])
         self._cond = self._live = None
+        self._coef_at = (None, None)  # (s, coef(s)) of the last scalar-time rates_batch call
 
     def _coef(self, s):
         """sigma(t) * prefactor(t): the per-conditional unmask rate scale.
@@ -168,8 +169,14 @@ class MaskedToyModel:
 
     def rates_batch(self, s, labels: np.ndarray) -> np.ndarray:
         r = np.take(self._conditionals(labels), labels, axis=0)
-        coef = self._coef(s)
-        r *= coef[:, None] if np.ndim(coef) else float(coef)
+        if np.ndim(s):
+            r *= self._coef(s)[:, None]
+            return r
+        # the engine calls once per row block at a stage's one time, and coef
+        # costs more than a block's gather
+        if self._coef_at[0] != s:
+            self._coef_at = (s, float(self._coef(s)))
+        r *= self._coef_at[1]
         return r
 
     def apply(self, labels, rows, coords, vals):

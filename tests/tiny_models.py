@@ -112,15 +112,22 @@ class TwoState(ConstantRates):
         return np.where(states == 0, [[0.0, self.a]], [[self.b, 0.0]])
 
 
+class _ChunkDraws(list):
+    """One chunk's Poisson draws, in order; ``rows`` is the chunk's trajectory count."""
+
+    rows = 0
+
+
 def record_poisson(monkeypatch) -> dict:
-    """Keep every Poisson draw the engine makes: chunk index -> that chunk's draws, in order."""
+    """Keep every Poisson draw the engine makes in this process: chunk index ->
+    that chunk's draws, in order, with its trajectory count as ``rows``."""
     draws = {}
-    real = engine.substream
+    real_stream, real_chunk = engine.substream, engine._run_chunk
 
     class Recorder:
         def __init__(self, seed, tag, chunk):
-            self._gen = real(seed, tag, chunk)
-            self._draws = draws.setdefault(chunk, [])
+            self._gen = real_stream(seed, tag, chunk)
+            self._draws = draws.setdefault(chunk, _ChunkDraws())
 
         def poisson(self, *args, **kwargs):
             out = self._gen.poisson(*args, **kwargs)
@@ -130,14 +137,23 @@ def record_poisson(monkeypatch) -> dict:
         def __getattr__(self, name):
             return getattr(self._gen, name)
 
+    def run_chunk(config, model, chunk_idx, m):
+        draws.setdefault(chunk_idx, _ChunkDraws()).rows = m
+        return real_chunk(config, model, chunk_idx, m)
+
     monkeypatch.setattr(engine, "substream", Recorder)
+    monkeypatch.setattr(engine, "_run_chunk", run_chunk)
     return draws
 
 
 def drawn_per_trajectory(draws: dict) -> np.ndarray:
     """Poisson counts per trajectory, summed over every draw of its chunk: the
     pre-rejection jump counts of every leap, or uniformization's candidate
-    counts (its NFE) of every window."""
-    return np.concatenate(
-        [sum(c.reshape(len(c), -1).sum(axis=1) for c in draws[chunk]) for chunk in sorted(draws)]
-    )
+    counts (its NFE) of every window.  A leap draws its chunk in consecutive
+    row blocks, so the per-row sums of a chunk's draws, joined in order, run
+    through the chunk's rows once per leap or window."""
+    per_chunk = []
+    for chunk in sorted(draws):
+        rows = np.concatenate([c.reshape(len(c), -1).sum(axis=1) for c in draws[chunk]])
+        per_chunk.append(rows.reshape(-1, draws[chunk].rows).sum(axis=0))
+    return np.concatenate(per_chunk)
