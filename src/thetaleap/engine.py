@@ -64,8 +64,13 @@ candidates left to its next candidate time, the next uniform order statistic
 in envelope mass mapped to time by the exact piecewise-linear inverse, and
 accepts the jump with one uniform against total rate / the piece's bound.
 Rounds run over the still-active rows, so the work scales with the NFE, not
-with trajectories x the largest count.  ``ENVELOPE_PIECES`` is part of the
-reproducibility contract, like ``CHUNK_SIZE``.
+with trajectories x the largest count.  A round draws its two uniforms for
+every active row at once, then runs the candidate times, the rates, the
+bound check and the jumps over row blocks of ``BLOCK_ROWS`` active rows;
+the rows of one round are distinct, so the blocks cannot interact and the
+block size moves no draw.  Only per-row vectors span the active set.
+``ENVELOPE_PIECES`` is part of the reproducibility contract, like
+``CHUNK_SIZE``.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ BOUND_RTOL = 1e-9
 CHUNK_SIZE = 16384
 ENVELOPE_PIECES = 16
 
-# Rows of one stepping block; not part of the reproducibility contract.
+# Rows of one stepping or thinning block; not part of the reproducibility contract.
 BLOCK_ROWS = CHUNK_SIZE // 8
 
 # Largest step count a grid accepts; its float64 points then take 80 MB.
@@ -259,11 +264,18 @@ def categorical(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     ``u`` is clamped just below the row's own cumulative total, which can sit
     below a total summed in another order; the slot found then always has
-    positive weight.
+    positive weight, given a positive total.  The running sums are built down
+    the slot columns, with the additions of a row-wise cumsum in its order,
+    and the slot is the count of running sums at or below ``u``, which
+    nonnegative weights keep nondecreasing.
     """
-    cum = np.cumsum(weights, axis=1)
-    u = np.minimum(u, np.nextafter(cum[:, -1], 0.0))
-    return (u[:, None] < cum).argmax(axis=1)
+    cols = weights.T
+    cum = np.empty(cols.shape, dtype=weights.dtype)
+    cum[0] = cols[0]
+    for j in range(1, cols.shape[0]):
+        np.add(cum[j - 1], cols[j], out=cum[j])
+    u = np.minimum(u, np.nextafter(cum[-1], 0.0))
+    return np.count_nonzero(cum <= u, axis=0)
 
 
 def _jump(model, states, rows, weights, u, tel: StepTelemetry) -> None:
@@ -372,34 +384,41 @@ def _uniformize_chunk(config: SolverConfig, model, states, rng, tel: StepTelemet
         mass = cum_mass[-1]
         # time per unit of envelope mass on each piece (0 on empty pieces)
         slope = np.divide(1.0, bounds, out=np.zeros_like(bounds), where=bounds > 0.0)
-        n_cand = rng.poisson(mass, size=m)
-        tel.nfe += int(n_cand.sum())
-        rows = np.flatnonzero(n_cand)
-        left = n_cand[rows]
+        # each trajectory's candidate count, then those of the rows that have one
+        left = rng.poisson(mass, size=m)
+        tel.nfe += int(left.sum())
+        rows = np.flatnonzero(left)
+        left = left[rows]
         lam = np.zeros(rows.size)
         while rows.size:
             v_time, v_acc = rng.random((2, rows.size))
-            # the smallest of ``left`` uniform masses on (lam, mass], then its time
-            lam += (mass - lam) * (1.0 - v_time ** (1.0 / left))
-            piece = np.searchsorted(cum_mass[1:-1], lam, side="right")
-            t = edges[piece] + (lam - cum_mass[piece]) * slope[piece]
-            bound = bounds[piece]
-            r = model.rates_batch(t, states[rows])
-            totals = r @ ones
-            over = totals > bound * (1.0 + BOUND_RTOL)
-            if over.any():
-                i = np.argmax(over)
-                raise NumericalError(
-                    f"total intensity {totals[i]:.6g} exceeds declared bound {bound[i]:.6g} "
-                    f"on piece ({edges[piece[i]]:.6g}, {edges[piece[i] + 1]:.6g}]"
-                )
-            u = v_acc * bound
-            hit = u < totals
-            if hit.any():
-                _jump(model, states, rows[hit], r[hit], u[hit], tel)
+            # no view of a block outlives it, so the round's shrink below frees the old arrays
+            for lo in range(0, rows.size, BLOCK_ROWS):
+                b = slice(lo, lo + BLOCK_ROWS)
+                # the smallest of ``left`` uniform masses on (lam, mass], then its time
+                lam[b] += (mass - lam[b]) * (1.0 - v_time[b] ** (1.0 / left[b]))
+                piece = np.searchsorted(cum_mass[1:-1], lam[b], side="right")
+                t = edges[piece] + (lam[b] - cum_mass[piece]) * slope[piece]
+                bound = bounds[piece]
+                r = model.rates_batch(t, states[rows[b]])
+                totals = r @ ones
+                over = totals > bound * (1.0 + BOUND_RTOL)
+                if over.any():
+                    i = np.argmax(over)
+                    raise NumericalError(
+                        f"total intensity {totals[i]:.6g} exceeds declared bound {bound[i]:.6g} "
+                        f"on piece ({edges[piece[i]]:.6g}, {edges[piece[i] + 1]:.6g}]"
+                    )
+                u = v_acc[b] * bound
+                hit = u < totals
+                if hit.any():
+                    _jump(model, states, rows[b][hit], r[hit], u[hit], tel)
             left -= 1
             keep = left > 0
-            rows, left, lam = rows[keep], left[keep], lam[keep]
+            # one at a time, so each old array is freed before the next copy
+            rows = rows[keep]
+            left = left[keep]
+            lam = lam[keep]
     return states
 
 

@@ -39,6 +39,8 @@ class ToyUniformModel:
         self.S = p0.S
         self.n_coords = 1
         self.slots_per_coord = self.S
+        # rows (1, p0) of the vector-time rates, r_i = coef_i @ basis
+        self._basis = np.stack([np.ones(self.S), p0.probs])
 
     def _mixture(self, s):
         """Weights (a, b) of the forward marginal p_t = a + b p0 at reverse time s.
@@ -86,8 +88,10 @@ class ToyUniformModel:
             return np.take(table, states, axis=0)
         # rank 2: r[i, v] = (base_i + decay_i p0[v]) / (S pt_i(y_i))
         inv_own = 1.0 / (self.S * pt)
-        coef = np.stack([base * inv_own, decay * inv_own], axis=1)
-        r = coef @ np.stack([np.ones(self.S), self.p0.probs])
+        coef = np.empty((states.size, 2))
+        np.multiply(base, inv_own, out=coef[:, 0])
+        np.multiply(decay, inv_own, out=coef[:, 1])
+        r = coef @ self._basis
         r.reshape(-1)[np.arange(states.size) * self.S + states] = 0.0
         return r
 

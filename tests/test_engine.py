@@ -168,6 +168,34 @@ def test_jump_never_lands_on_a_zero_weight_slot(toy):
         assert row[states[0]] > 0.0
 
 
+def _categorical_by_row_cumsum(weights, u):
+    """The categorical draw written with a row-wise cumsum and the first sum above ``u``."""
+    cum = np.cumsum(weights, axis=1)
+    u = np.minimum(u, np.nextafter(cum[:, -1], 0.0))
+    return (u[:, None] < cum).argmax(axis=1)
+
+
+@pytest.mark.parametrize("slots", [1, 15])
+def test_categorical_matches_the_row_cumsum(slots):
+    # zero-weight slots (a first one too), and per row a uniform inside the
+    # total, one exactly on a cumulative sum, one at the total and one past
+    # it (both clamped); the column-wise sums add in the row cumsum's order,
+    # so the slots found are the same
+    rng = np.random.default_rng(12)
+    weights = rng.random((400, slots))
+    weights[rng.random(weights.shape) < 0.3] = 0.0
+    weights[weights.sum(axis=1) == 0.0, -1] = 1.0
+    cum = np.cumsum(weights, axis=1)
+    total = cum[:, -1]
+    on_sum = cum[np.arange(400), rng.integers(0, slots, size=400)]
+    u = np.concatenate([rng.random(400) * total, on_sum, total, 1.5 * total])
+    weights = np.tile(weights, (4, 1))
+    got = engine.categorical(weights, u)
+    assert np.array_equal(got, _categorical_by_row_cumsum(weights, u))
+    assert np.all(weights[np.arange(weights.shape[0]), got] > 0.0)
+    assert engine.categorical(np.empty((0, slots)), np.empty(0)).shape == (0,)
+
+
 def test_euler_batch_step_size_error(toy):
     grid = TimeGrid(HORIZON, 0.0, 2, 0.5)  # dt = 6: probabilities overflow
     with pytest.raises(NumericalError, match="reduce the step size"):
@@ -224,20 +252,23 @@ def test_in_place_combine_matches_the_out_of_place_formula(method, theta):
     assert (want_tel.negative_intensity_events > 0) == (method == "theta-trapezoidal" or theta < 0.5)
 
 
-@pytest.mark.parametrize("method", ["tau-leaping", "theta-rk2", "theta-trapezoidal"])
+@pytest.mark.parametrize("method", ["tau-leaping", "theta-rk2", "theta-trapezoidal", "uniformization"])
 @pytest.mark.parametrize("kind", ["toy", "masked"])
 def test_chunk_working_set_in_full_width_arrays(toy, kind, method):
     # tracemalloc peak of one full chunk at N = 8, in arrays of rows x slots
-    # float64.  An interval runs in row blocks of BLOCK_ROWS = CHUNK_SIZE / 8,
-    # so every rates array, Poisson count and mask is one block wide; only a
-    # two-stage step's stage-1 rates (one full-width array) and its
-    # intermediate states span the chunk.  The stage-1 rates sit in an
+    # float64.  An interval, and each thinning round, runs in row blocks of
+    # BLOCK_ROWS = CHUNK_SIZE / 8, so every rates array, Poisson count and
+    # mask is one block wide; only a two-stage step's stage-1 rates (one
+    # full-width array) and its intermediate states, and thinning's per-row
+    # vectors (states, rows, candidates left, envelope mass reached, the
+    # round's uniforms) span the chunk.  The stage-1 rates sit in an
     # anonymous mapping that tracemalloc does not trace, so they are counted
     # by hand.  Measured with NumPy 2.4.6 on CPython 3.11: toy 1.59 for both
-    # two-stage schemes, 0.40 for tau-leaping; masked 1.61-1.62 for the
-    # two-stage schemes, 0.41 for tau-leaping.  Part of each peak is NumPy's own
-    # temporaries (einsum, fancy indexing, argmax), so a failure after a
-    # NumPy upgrade with no engine change points there
+    # two-stage schemes, 0.40 for tau-leaping, 0.83 for uniformization;
+    # masked 1.61-1.62 for the two-stage schemes, 0.41 for tau-leaping, 0.88
+    # for uniformization.  Part of each peak is NumPy's own temporaries
+    # (einsum, fancy indexing, argmax), so a failure after a NumPy upgrade
+    # with no engine change points there
     if kind == "toy":
         model, grid = toy, TimeGrid(HORIZON, 0.0, 8, 0.5)
     else:
@@ -252,29 +283,42 @@ def test_chunk_working_set_in_full_width_arrays(toy, kind, method):
     finally:
         tracemalloc.stop()
     width = CHUNK_SIZE * model.n_coords * model.slots_per_coord * 8
-    mapped = 0 if method == "tau-leaping" else width
-    assert peak + mapped <= (1 if method == "tau-leaping" else 2) * width
+    two_stage = method in ("theta-rk2", "theta-trapezoidal")
+    mapped = width if two_stage else 0
+    assert peak + mapped <= (2 if two_stage else 1) * width
 
 
-@pytest.mark.parametrize("method", ["euler", "tau-leaping", "theta-rk2", "theta-trapezoidal"])
+@pytest.mark.parametrize("method", ["euler", "tau-leaping", "theta-rk2", "theta-trapezoidal", "uniformization"])
 @pytest.mark.parametrize("kind", ["toy", "masked", "tiny"])
 def test_row_blocks_move_no_draw(toy, monkeypatch, kind, method):
-    # a stage runs on every row block before the next stage starts, so the
-    # draws come out of the chunk's stream in the same order whatever the
-    # block size: one row, 7 rows (a ragged last block) and the whole chunk
-    # give the bytes and counters of the default, which splits these rows
-    # into a full block and a ragged one
+    # a stage runs on every row block before the next stage starts, and a
+    # thinning round draws its uniforms for every active row before its first
+    # block, so the draws come out of the chunk's stream in the same order
+    # whatever the block size: one row, 7 rows (a ragged last block) and the
+    # whole chunk give the bytes and counters of the default, which splits
+    # these rows into full blocks and a ragged one
     if kind == "toy":
         model, grid = toy, TimeGrid(HORIZON, 0.0, 32 if method == "euler" else 4, 0.5)
     elif kind == "masked":
         model = MaskedToyModel(random_target_table(2, 3, substream(3, 103)))
         grid = TimeGrid(1.0, 0.5, 4, 0.5)
     else:
-        model, grid = ConstantRates([[0.0, 0.5, 0.3], [0.4, 0.0, 0.6]]), TimeGrid(1.0, 0.0, 4, 0.3)
-    config = SolverConfig(method, grid, seed=8)
+        # a bound above the total rate 1.8, so that thinning rejects candidates
+        model = ConstantRates([[0.0, 0.5, 0.3], [0.4, 0.0, 0.6]], bound=3.0)
+        grid = TimeGrid(1.0, 0.0, 4, 0.3)
     m = engine.BLOCK_ROWS + 5
+    if method == "uniformization":
+        # one window, and rows enough that its first round spans two blocks
+        grid, m = TimeGrid(grid.horizon, grid.delta, 1, 0.5), 2 * engine.BLOCK_ROWS + 5
+        draws = record_poisson(monkeypatch)
+    config = SolverConfig(method, grid, seed=8)
     want, want_tel = engine._run_chunk(config, model, 0, m)
-    assert want_tel.drawn_jumps > 0 and want_tel.attempted_updates > 0
+    if method == "uniformization":
+        # thinning counts no attempted updates; its first draw is the window's candidate counts
+        assert want_tel.nfe > want_tel.drawn_jumps > 0
+        assert np.count_nonzero(draws[0][0]) > engine.BLOCK_ROWS
+    else:
+        assert want_tel.drawn_jumps > 0 and want_tel.attempted_updates > 0
     for rows in (1, 7, m):
         monkeypatch.setattr(engine, "BLOCK_ROWS", rows)
         got, got_tel = engine._run_chunk(config, model, 0, m)

@@ -393,3 +393,20 @@ def test_uniformization_bound_violation_on_one_piece_raises():
         _sample(model, "uniformization", 1.0, 2000, seed=17)
     # told the truth on every piece, the same run passes
     _sample(ConstantRates([[0.0, 2.0]]), "uniformization", 1.0, 2000, seed=17)
+
+
+def test_uniformization_bound_violation_in_a_later_block_raises(monkeypatch):
+    # in blocks of 4 rows the first candidate on the lying piece falls past
+    # the chunk's first block, and the message still names its own bound and
+    # piece, not those of a row at the same offset in another block
+    sizes = []
+
+    class Counted(_OnePieceLies):
+        def rates_batch(self, s, states):
+            sizes.append(states.shape[0])
+            return super().rates_batch(s, states)
+
+    monkeypatch.setattr(engine, "BLOCK_ROWS", 4)
+    with pytest.raises(NumericalError, match=r"intensity 2 exceeds declared bound 1 on piece \(0.3125, 0.375\]"):
+        _sample(Counted([[0.0, 2.0]]), "uniformization", 1.0, 2000, seed=17)
+    assert len(sizes) > 1 and max(sizes) == 4
