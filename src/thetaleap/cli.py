@@ -8,6 +8,10 @@ Subcommands:
                    floor and each cell's mean NFE (the per-trajectory count
                    is Poisson with that mean)
 
+A sweep samples each law once: a method that reads no theta (Euler,
+tau-leaping, uniformization) is sampled once per step count, and its rows
+at every --theta share that histogram, nfe and fractions.
+
 Informational output goes to stderr; the result table goes to --out
 (default stdout) as CSV or JSON.  Exit codes: 0 ok, 2 config error,
 3 I/O error, 4 numerical/model error.
@@ -23,7 +27,7 @@ import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .engine import ChunkPool, SolverConfig, TimeGrid, run_sampler, substream
+from .engine import THETA_METHODS, ChunkPool, SolverConfig, TimeGrid, run_sampler, substream
 from .errors import ConfigError, ThetaLeapError
 from .masked import TargetTable, load_target_table, random_target_table
 from .metrics import bootstrap_kl_ci, empirical_distribution, fit_loglog_slope, noise_floor
@@ -208,6 +212,11 @@ def _sweep(config: ExperimentConfig, model, target: TargetTable):
     Every cell's grid and solver config is built before the first cell runs,
     so a bad method name or theta fails before any sampling.  The cells share
     one chunk pool, whose workers (if any start) are joined before this returns.
+    Each law is sampled once: a method outside ``THETA_METHODS`` reads no
+    theta and a chunk's stream is keyed by (seed, chunk), so its cells at one
+    N share a histogram and telemetry, and a repeated cell's ``wall_ms``
+    covers only the histogram lookup and its bootstrap interval, which every
+    cell draws from its own stream.
     """
     cells = [
         SolverConfig(method, TimeGrid(config.horizon, config.delta, n_steps, theta), config.seed)
@@ -217,12 +226,16 @@ def _sweep(config: ExperimentConfig, model, target: TargetTable):
     ]
     p0 = target.flat()
     rows = []
+    laws = {}  # (method, N, theta or None) -> (histogram, telemetry)
     with ChunkPool(model, config.workers) as pool:
         for cell, scfg in enumerate(cells):
             method, theta, n_steps = scfg.method, scfg.grid.theta, scfg.grid.n_intervals
             t0 = time.monotonic()
-            samples, tel = run_sampler(scfg, model, config.samples, pool=pool)
-            counts = empirical_distribution(samples, p0.size)
+            law = (method, n_steps, theta if method in THETA_METHODS else None)
+            if law not in laws:
+                samples, tel = run_sampler(scfg, model, config.samples, pool=pool)
+                laws[law] = empirical_distribution(samples, p0.size), tel
+            counts, tel = laws[law]
             report = bootstrap_kl_ci(
                 counts,
                 p0,

@@ -86,6 +86,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ThetaLeapError
 
 METHODS = ("euler", "tau-leaping", "uniformization", "theta-rk2", "theta-trapezoidal")
+# The methods that read the grid's theta; the others sample one law at every theta.
+THETA_METHODS = ("theta-rk2", "theta-trapezoidal")
 
 # Relative slack when checking a dominating bound against observed totals.
 BOUND_RTOL = 1e-9
@@ -431,7 +433,7 @@ def _run_chunk(config: SolverConfig, model, chunk_idx: int, m: int):
             states = _uniformize_chunk(config, model, states, rng, tel)
         else:
             mu0 = ystar = None
-            if config.method in ("theta-rk2", "theta-trapezoidal"):
+            if config.method in THETA_METHODS:
                 # stage 1's rates get an anonymous mapping of their own, returned
                 # whole when the chunk ends: freed into the malloc heap they stayed
                 # resident below its trim threshold, which raised the peak RSS

@@ -25,7 +25,7 @@ from thetaleap.cli import (
     emit_results,
     main,
 )
-from thetaleap.engine import CHUNK_SIZE, SolverConfig, substream
+from thetaleap.engine import CHUNK_SIZE, THETA_METHODS, SolverConfig, substream
 from thetaleap.errors import ConfigError, NumericalError, ThetaLeapError
 from thetaleap.masked import random_target_table
 from thetaleap.metrics import ConvergenceFit, noise_floor
@@ -602,7 +602,9 @@ def test_cli_json_output(tmp_path):
 # toy and masked texts each hold one float cell whose 17th digit depends on
 # which kernel numpy's float64 log dispatches (kl_divergence calls it), so
 # they are pinned per dispatch target, as _log_target() names it; the other
-# two read the same on every level and keep one digest.
+# three read the same on every level and keep one digest.  The theta sweep
+# repeats each theta-free (method, N) cell at two thetas: its digest was made
+# before a sweep sampled each law once, and read the same on all three levels.
 PINNED_OUTPUTS = {
     "toy": (
         ["toy-converge", "--samples", "2000", "--steps", "64,128",
@@ -630,6 +632,11 @@ PINNED_OUTPUTS = {
         ["toy-converge", "--samples", str(CHUNK_SIZE + 100), "--steps", "2",
          "--method", "theta-trapezoidal", "--bootstrap", "50"],
         "89ad59902fff1d07cda0943c489fc2a3559b21b3d3322df12ad15b9080812645",
+    ),
+    "theta-sweep": (
+        ["toy-converge", "--method", "euler,tau-leaping,theta-rk2,theta-trapezoidal", "--theta", "0.3,0.5",
+         "--steps", "64,128", "--samples", "2000", "--bootstrap", "50"],
+        "6aca0839f951646655346994f30296e131ae3e74fea1c8a8406c1b2b3b27779b",
     ),
 }
 
@@ -688,6 +695,37 @@ def test_cli_histograms_are_pinned(tmp_path, monkeypatch, name):
     argv, _ = PINNED_OUTPUTS[name]
     assert main(argv + ["--seed", "0", "--out", str(tmp_path / "out.csv")]) == 0
     assert digest.hexdigest() == PINNED_HISTOGRAMS[name]
+
+
+@pytest.mark.parametrize(
+    "argv, n_laws",
+    [
+        # 16 cells: Euler and tau-leaping once per N, the two-stage methods once per (theta, N)
+        (PINNED_OUTPUTS["theta-sweep"][0], 12),
+        # 6 cells: uniformization once per N
+        (["exact-check", "--samples", "2000", "--steps", "4,8", "--theta", "0.3,0.5,0.7", "--bootstrap", "10"], 2),
+    ],
+    ids=["theta-sweep", "exact-check"],
+)
+def test_a_sweep_samples_each_law_once(tmp_path, monkeypatch, argv, n_laws):
+    run_sampler, laws = cli.run_sampler, []
+
+    def counted(config, *args, **kwargs):
+        grid = config.grid
+        laws.append((config.method, grid.n_intervals, grid.theta if config.method in THETA_METHODS else None))
+        return run_sampler(config, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_sampler", counted)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--seed", "0", "--out", str(out)]) == 0
+    assert len(laws) == len(set(laws)) == n_laws
+    # a theta-free method's rows at one N share its histogram and counters
+    shared = {}
+    for row in _read_rows(out):
+        law = (row.method, row.steps, row.theta if row.method in THETA_METHODS else None)
+        cells = (row.nfe, row.kl, row.positivity_frac, row.rejection_frac)
+        assert shared.setdefault(law, cells) == cells
+    assert set(shared) == set(laws)
 
 
 # Seed-0 JSON text pinned byte for byte, each wall_ms value masked: the rows

@@ -11,6 +11,7 @@ from scipy import stats
 from thetaleap import engine
 from thetaleap.engine import (
     CHUNK_SIZE,
+    THETA_METHODS,
     ChunkPool,
     SolverConfig,
     StepTelemetry,
@@ -35,22 +36,42 @@ def toy():
     return ToyUniformModel(p0, horizon=HORIZON)
 
 
-@pytest.mark.parametrize("method", ["euler", "tau-leaping", "theta-rk2", "theta-trapezoidal"])
-def test_batch_sampler_matches_exact_scheme_kernel(toy, method):
+def _solver(method, grid, seed):
+    """The run's SolverConfig, expecting theta-rk2's warning above theta = 1/2."""
+    if method == "theta-rk2" and grid.theta > 0.5:
+        with pytest.warns(UserWarning, match="theta-rk2 with theta"):
+            return SolverConfig(method, grid, seed)
+    return SolverConfig(method, grid, seed)
+
+
+def _law_cases(methods):
+    """Every method at theta = 1/2 under its own id, and the two-stage methods also at 0.3 and 0.7."""
+    return [pytest.param(method, 0.5, id=method) for method in methods] + [
+        pytest.param(method, theta, id=f"{method}-{theta}") for method in THETA_METHODS for theta in (0.3, 0.7)
+    ]
+
+
+@pytest.mark.parametrize("method,theta", _law_cases(["euler", "tau-leaping", "theta-rk2", "theta-trapezoidal"]))
+def test_batch_sampler_matches_exact_scheme_kernel(toy, method, theta):
     # the engine's empirical law must sit at the plug-in noise floor of the
     # scheme's exact terminal law computed by kernel composition; on this
     # target Euler needs 24 steps or more for its transition probabilities
-    # to stay below 1
+    # to stay below 1.  At theta = 1/2 theta-RK-2's stage-1 rates enter only
+    # through its mask, so theta = 0.3 and 0.7 check its extrapolation
     n_steps, m = (32 if method == "euler" else 8), 120_000
-    grid = TimeGrid(HORIZON, 0.0, n_steps, 0.5)
-    samples, _ = run_sampler(SolverConfig(method, grid, seed=5), toy, m)
-    exact = exact_scheme_distribution(method, toy.p0.probs, HORIZON, n_steps, 0.5)
+    grid = TimeGrid(HORIZON, 0.0, n_steps, theta)
+    samples, _ = run_sampler(_solver(method, grid, seed=5), toy, m)
+    exact = exact_scheme_distribution(method, toy.p0.probs, HORIZON, n_steps, theta)
     kl = kl_divergence(exact, empirical_distribution(samples, 15) / m)
+    # 2M KL is about chi-square on 14 degrees of freedom, so this bound is
+    # 2M KL < 42: a false-alarm level of 1.2e-4
     assert kl < 3 * noise_floor(m, 15)
 
 
-@pytest.mark.parametrize("method", ["euler", "tau-leaping", "theta-rk2", "theta-trapezoidal", "uniformization"])
-def test_masked_sampler_matches_exact_scheme_kernel(method):
+@pytest.mark.parametrize(
+    "method,theta", _law_cases(["euler", "tau-leaping", "theta-rk2", "theta-trapezoidal", "uniformization"])
+)
+def test_masked_sampler_matches_exact_scheme_kernel(method, theta):
     # a coarse grid keeps the scheme's law far from the target, so this
     # checks the engine on masked labels against the scheme itself; Euler
     # stops early at T - 0.5, where its transition probabilities stay below 1.
@@ -60,16 +81,38 @@ def test_masked_sampler_matches_exact_scheme_kernel(method):
     delta = 0.5 if method == "euler" else 1e-3
     table = random_target_table(2, 3, substream(3, 103))
     model = MaskedToyModel(table, NoiseSchedule(eps))
-    grid = TimeGrid(1.0, delta, n_steps, 0.5)
-    samples, _ = run_sampler(SolverConfig(method, grid, seed=9), model, m)
+    grid = TimeGrid(1.0, delta, n_steps, theta)
+    samples, _ = run_sampler(_solver(method, grid, seed=9), model, m)
     if method == "uniformization":
         exact = table.flat()
     else:
-        exact = exact_masked_distribution(method, table.probs, eps, 1.0, delta, n_steps, 0.5)
+        exact = exact_masked_distribution(method, table.probs, eps, 1.0, delta, n_steps, theta)
     observed = np.bincount(samples, minlength=9)
     expected = m * exact
     chi2 = ((observed - expected) ** 2 / expected).sum()
+    # Pearson's test on 8 degrees of freedom: a false-alarm level of 1e-3
     assert stats.chi2.sf(chi2, 8) > 1e-3
+
+
+@pytest.mark.parametrize("kind", ["toy", "masked"])
+def test_theta_methods_are_the_methods_that_read_theta(toy, kind):
+    # a method outside THETA_METHODS returns the same samples and counters at
+    # every theta, so a sweep samples it once per step count (cli._sweep);
+    # every method in it moves when theta does.  Euler is defined at these step counts
+    if kind == "toy":
+        model, horizon, delta, n_steps = toy, HORIZON, 0.0, 32
+    else:
+        model = MaskedToyModel(random_target_table(2, 3, substream(3, 103)))
+        horizon, delta, n_steps = 1.0, 0.5, 4
+    moved = []
+    for method in engine.METHODS:
+        (s1, t1), (s2, t2) = (
+            run_sampler(_solver(method, TimeGrid(horizon, delta, n_steps, theta), seed=4), model, 3000)
+            for theta in (0.3, 0.7)
+        )
+        if not (np.array_equal(s1, s2) and t1 == t2):
+            moved.append(method)
+    assert tuple(moved) == THETA_METHODS
 
 
 def test_worker_count_does_not_change_samples(toy):
@@ -283,7 +326,7 @@ def test_chunk_working_set_in_full_width_arrays(toy, kind, method):
     finally:
         tracemalloc.stop()
     width = CHUNK_SIZE * model.n_coords * model.slots_per_coord * 8
-    two_stage = method in ("theta-rk2", "theta-trapezoidal")
+    two_stage = method in THETA_METHODS
     mapped = width if two_stage else 0
     assert peak + mapped <= (2 if two_stage else 1) * width
 
